@@ -92,10 +92,12 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
         queues.append(pages)
     target = min(n, len(corpus.pages))
     picked: list[Page] = []
+    depth = 0
     while len(picked) < target:
         for queue in queues:
-            if queue and len(picked) < target:
-                picked.append(queue.pop(0))
+            if depth < len(queue) and len(picked) < target:
+                picked.append(queue[depth])
+        depth += 1
     return Corpus(registry=list(corpus.registry), pages=picked)
 
 
@@ -109,17 +111,17 @@ def measure_noise(
     countable = [l for l in links if not l.is_self]
     comment_links = sum(1 for l in countable if l.in_comment)
 
-    section_tokens = 0
-    main_tokens = 0
-    for page in sliced_pages:
-        for section in page.sections_bytes:
-            section_tokens += len(tokenize(section, stopwords))
-        main_tokens += len(tokenize(page.stripped_bytes, stopwords))
+    section_tokens = sum(
+        len(tokenize(section, stopwords))
+        for page in sliced_pages
+        for section in page.sections_bytes
+    )
+    with_comments = corpus_token_counts(sliced_pages, include_comments=True, stopwords=stopwords)
+    without = corpus_token_counts(sliced_pages, include_comments=False, stopwords=stopwords)
+    main_tokens = sum(without.values())
     total = section_tokens + main_tokens
     token_noise = section_tokens / total if total else 0.0
 
-    with_comments = corpus_token_counts(sliced_pages, include_comments=True, stopwords=stopwords)
-    without = corpus_token_counts(sliced_pages, include_comments=False, stopwords=stopwords)
     if not with_comments and not without:
         divergence = 0.0
     else:

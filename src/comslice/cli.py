@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import audit as audit_mod
 from .corpus import Corpus, load_corpus
@@ -48,6 +50,29 @@ def _default_workers() -> int:
         return 1
 
 
+def _bounded(kind: Callable[[str], float], low: float, high: float = math.inf):
+    """An argparse type: parse with kind, then require low <= value <= high.
+
+    NaN fails the range test, so a bad value always exits with status 2.
+    """
+    what = f"an integer >= {low}" if kind is int else f"a number in [{low}, {high}]"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # unparsable: fails the range test below
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_fraction = _bounded(float, 0, 1)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="corpus root directory")
     parser.add_argument("--manifest", required=True, help="manifest CSV path")
@@ -55,7 +80,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=_default_workers(),
         help="worker processes for slicing (default: $COMSLICE_WORKERS or 1)",
     )
@@ -91,16 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tokens", help="top token counts with and without comment sections")
     _add_common(p)
-    p.add_argument("--top-k", type=int, default=100, help="rows per table (default: 100)")
+    p.add_argument(
+        "--top-k", type=_positive_int, default=100, help="rows per table (default: 100)"
+    )
     p.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
 
     p = sub.add_parser("audit", help="sample the corpus and decide whether slicing is needed")
     _add_common(p)
-    p.add_argument("--sample-n", type=int, default=100, help="pages to sample (default: 100)")
+    p.add_argument(
+        "--sample-n", type=_positive_int, default=100, help="pages to sample (default: 100)"
+    )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
-    p.add_argument("--threshold-link", type=float, default=0.05)
-    p.add_argument("--threshold-token", type=float, default=0.05)
-    p.add_argument("--threshold-divergence", type=float, default=0.05)
+    p.add_argument("--threshold-link", type=_fraction, default=0.05)
+    p.add_argument("--threshold-token", type=_fraction, default=0.05)
+    p.add_argument("--threshold-divergence", type=_fraction, default=0.05)
     p.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
 
     return parser
@@ -118,6 +147,13 @@ def _slice(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule], list[Slic
     return corpus, rules, sliced, errors
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
     for page in sliced:
         stripped_path = out / "stripped" / page.page_path
@@ -130,16 +166,17 @@ def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
 
 
 def _write_error_report(report: ErrorReport, out: Path) -> None:
-    with open(out / "error_report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site_id", "page_path", "kind", "detail"])
-        writer.writerows(report.detail_rows())
-    with open(out / "error_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site_id", "kind", "count"])
-        writer.writerows(report.summary_rows())
-        for warning in report.warnings:
-            writer.writerow([warning.site_id, "uniform_size_warning", warning.sections])
+    _write_csv(
+        out / "error_report.csv",
+        ("site_id", "page_path", "kind", "detail"),
+        report.detail_rows(),
+    )
+    warnings = [(w.site_id, "uniform_size_warning", w.sections) for w in report.warnings]
+    _write_csv(
+        out / "error_summary.csv",
+        ("site_id", "kind", "count"),
+        report.summary_rows() + warnings,
+    )
 
 
 def _print_slice_summary(report: ErrorReport, sliced: list[SlicedPage]) -> None:
@@ -154,10 +191,8 @@ def _print_slice_summary(report: ErrorReport, sliced: list[SlicedPage]) -> None:
         )
 
 
-def _cmd_slice_rough(args: argparse.Namespace) -> int:
+def _cmd_slice_rough(args: argparse.Namespace, out: Path) -> int:
     _, rules, sliced, errors = _slice(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_page_outputs(sliced, out)
     report = build_error_report(sliced, errors, rules)
     _write_error_report(report, out)
@@ -165,10 +200,8 @@ def _cmd_slice_rough(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_slice_precise(args: argparse.Namespace) -> int:
+def _cmd_slice_precise(args: argparse.Namespace, out: Path) -> int:
     _, rules, sliced, errors = _slice(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_page_outputs(sliced, out)
     total = 0
     with open(out / "comments.jsonl", "w", encoding="utf-8") as fh:
@@ -179,20 +212,9 @@ def _cmd_slice_precise(args: argparse.Namespace) -> int:
             comments, errs = precise_slice(page, rule)
             errors.extend(errs)
             for c in comments:
-                record = {
-                    "site_id": c.site_id,
-                    "page_path": c.page_path,
-                    "index": c.index,
-                    "span_start": c.span_start,
-                    "span_end": c.span_end,
-                    "author": c.author,
-                    "date": c.date,
-                    "depth": c.depth,
-                    "author_url": c.author_url,
-                    "text": c.text,
-                }
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                total += 1
+                # vars() lists Comment's fields in order, without asdict's deep copy
+                fh.write(json.dumps(vars(c), ensure_ascii=False) + "\n")
+            total += len(comments)
     report = build_error_report(sliced, errors, rules)
     _write_error_report(report, out)
     _print_slice_summary(report, sliced)
@@ -205,23 +227,22 @@ def _links_of(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule], list[S
     return corpus, rules, sliced, extract_all_links(sliced, corpus.registry)
 
 
-def _cmd_links(args: argparse.Namespace) -> int:
+def _cmd_links(args: argparse.Namespace, out: Path) -> int:
     _, _, sliced, links = _links_of(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "edges.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src_site", "dst_site", "location", "src_page", "url"])
-        for link in links:
-            writer.writerow(
-                [
-                    link.src_site_id,
-                    link.dst_site_id,
-                    "comment" if link.in_comment else "main",
-                    link.page_path,
-                    link.href,
-                ]
+    _write_csv(
+        out / "edges.csv",
+        ("src_site", "dst_site", "location", "src_page", "url"),
+        (
+            (
+                link.src_site_id,
+                link.dst_site_id,
+                "comment" if link.in_comment else "main",
+                link.page_path,
+                link.href,
             )
+            for link in links
+        ),
+    )
     anchors = sum(1 for page in sliced for _ in iter_hrefs(page.raw_bytes))
     print(
         f"found {anchors} anchors; {len(links)} resolved to registered sites, "
@@ -230,30 +251,24 @@ def _cmd_links(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_crosstab(args: argparse.Namespace) -> int:
+def _cmd_crosstab(args: argparse.Namespace, out: Path) -> int:
     corpus, _, _, links = _links_of(args)
     labels = {site.site_id: site.label for site in corpus.registry}
     rows = crosstab(links, labels)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "crosstab.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src_label", "dst_label", "outside", "inside", "proportion"])
-        for row in rows:
-            writer.writerow(
-                [row.src_label, row.dst_label, row.outside, row.inside, f"{row.proportion:.2f}"]
-            )
+    _write_csv(
+        out / "crosstab.csv",
+        ("src_label", "dst_label", "outside", "inside", "proportion"),
+        ((r.src_label, r.dst_label, r.outside, r.inside, f"{r.proportion:.2f}") for r in rows),
+    )
     print(f"crosstab: {len(rows)} label pairs")
     return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: argparse.Namespace, out: Path) -> int:
     corpus, _, _, links = _links_of(args)
     graph = mutual_link_graph(
         links, corpus.registry, include_comments=args.include_comments
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     labels = {site.site_id: site.label for site in corpus.registry}
     write_gexf(graph, labels, out / "graph.gexf")
     parts = components(graph)
@@ -264,22 +279,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_token_table(path: Path, rows: list[tuple[str, int]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token", "count"])
-        writer.writerows(rows)
-
-
-def _cmd_tokens(args: argparse.Namespace) -> int:
+def _cmd_tokens(args: argparse.Namespace, out: Path) -> int:
     _, _, sliced, _ = _slice(args)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     with_comments = corpus_token_counts(sliced, include_comments=True, stopwords=stopwords)
     without = corpus_token_counts(sliced, include_comments=False, stopwords=stopwords)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_token_table(out / "tokens_with_comments.csv", top_k(with_comments, args.top_k))
-    _write_token_table(out / "tokens_without_comments.csv", top_k(without, args.top_k))
+    for name, counts in (("with", with_comments), ("without", without)):
+        rows = top_k(counts, args.top_k)
+        _write_csv(out / f"tokens_{name}_comments.csv", ("token", "count"), rows)
     print(
         f"tokens: {sum(with_comments.values())} with comments, "
         f"{sum(without.values())} without"
@@ -287,7 +294,7 @@ def _cmd_tokens(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
     corpus, rules = _load(args)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     thresholds = audit_mod.Thresholds(
@@ -303,48 +310,27 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         thresholds=thresholds,
         stopwords=stopwords,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = audit_mod.format_report(result)
     (out / "audit.txt").write_text(report, encoding="utf-8")
     m, t = result.measurement, result.thresholds
-    with open(out / "audit.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value", "threshold", "exceeded"])
-        for name, value, cutoff in (
-            ("link_noise", m.link_noise, t.link),
-            ("token_noise", m.token_noise, t.token),
-            ("text_divergence", m.text_divergence, t.divergence),
-        ):
-            exceeded = "true" if name in result.decision.exceeded else "false"
-            writer.writerow([name, repr(value), repr(cutoff), exceeded])
-    with open(out / "audit_sites.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "site_id",
-                "label",
-                "pages",
-                "sections",
-                "comment_bytes",
-                "total_bytes",
-                "comments",
-                "commenter_urls",
-            ]
-        )
-        for site in result.sites:
-            writer.writerow(
-                [
-                    site.site_id,
-                    site.label,
-                    site.pages,
-                    site.sections,
-                    site.comment_bytes,
-                    site.total_bytes,
-                    "" if site.comments is None else site.comments,
-                    "" if site.commenter_urls is None else site.commenter_urls,
-                ]
-            )
+    metrics = (
+        ("link_noise", m.link_noise, t.link),
+        ("token_noise", m.token_noise, t.token),
+        ("text_divergence", m.text_divergence, t.divergence),
+    )
+    _write_csv(
+        out / "audit.csv",
+        ("metric", "value", "threshold", "exceeded"),
+        (
+            (name, repr(v), repr(cutoff), "true" if name in result.decision.exceeded else "false")
+            for name, v, cutoff in metrics
+        ),
+    )
+    _write_csv(
+        out / "audit_sites.csv",
+        [f.name for f in fields(audit_mod.SiteDiagnostics)],
+        map(astuple, result.sites),
+    )
     print(report, end="")
     return 0
 
@@ -367,8 +353,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](args, out)
     except ComsliceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

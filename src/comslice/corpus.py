@@ -68,14 +68,8 @@ class Corpus:
             seen.add(key)
         self._by_id = by_id
 
-    def site(self, site_id: str) -> Site:
-        return self._by_id[site_id]
-
     def label_of(self, site_id: str) -> str:
         return self._by_id[site_id].label
-
-    def pages_for(self, site_id: str) -> list[Page]:
-        return [p for p in self.pages if p.site_id == site_id]
 
 
 def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
@@ -83,16 +77,17 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
 
     Fatal conditions (raised as ManifestError, always naming the offending
     path or row): missing manifest, wrong header, missing page file,
-    duplicate (site_id, page_path), a page referencing a site_id no row
-    defines, one prefix claimed by two sites, or conflicting redefinitions
-    of a site.
+    duplicate (site_id, page_path), one page_path under two site_ids (both
+    would write the same stripped file), a page referencing a site_id no
+    row defines, one prefix claimed by two sites, or conflicting
+    redefinitions of a site.
     """
     root = Path(root)
     manifest = Path(manifest)
     if not manifest.is_file():
         raise ManifestError(f"manifest not found: {manifest}")
 
-    with open(manifest, newline="", encoding="utf-8") as fh:
+    with open(manifest, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -140,13 +135,13 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
 
     # Second pass: load page bytes verbatim.
     pages: list[Page] = []
-    seen: set[tuple[str, str]] = set()
+    seen: dict[PurePosixPath, tuple[int, str]] = {}  # page path -> (row, site_id)
     for lineno, row in rows:
         page_path = row[2].strip()
         if not page_path:
             continue
-        parts = PurePosixPath(page_path).parts
-        if PurePosixPath(page_path).is_absolute() or ".." in parts:
+        path = PurePosixPath(page_path)
+        if path.is_absolute() or ".." in path.parts:
             raise ManifestError(
                 f"manifest {manifest} row {lineno}: page_path {page_path!r} "
                 f"must stay inside the corpus root"
@@ -157,12 +152,17 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
                 f"manifest {manifest} row {lineno}: page {page_path} references "
                 f"unknown site_id {site_id} (no row defines its url_prefixes)"
             )
-        key = (site_id, page_path)
-        if key in seen:
+        if path in seen:
+            first_row, first_site = seen[path]
+            if first_site == site_id:
+                raise ManifestError(
+                    f"manifest {manifest} row {lineno}: duplicate page {(site_id, page_path)}"
+                )
             raise ManifestError(
-                f"manifest {manifest} row {lineno}: duplicate page {key}"
+                f"manifest {manifest}: page_path {page_path} is declared under site "
+                f"{first_site} (row {first_row}) and site {site_id} (row {lineno})"
             )
-        seen.add(key)
+        seen[path] = (lineno, site_id)
         file_path = root / page_path
         if not file_path.is_file():
             raise ManifestError(f"page file not found: {file_path}")

@@ -12,26 +12,11 @@ from __future__ import annotations
 import csv
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Literal
 
 from .errors import EncodingFileError
-
-ENCODING_COLUMNS = (
-    "site_id",
-    "label",
-    "has_comments",
-    "open_pattern",
-    "close_pattern",
-    "empty_size",
-    "comment_pattern",
-    "date_pattern",
-    "author_pattern",
-    "depth_pattern",
-    "author_url_pattern",
-    "text_pattern",
-)
 
 ABSENT = "False"
 REGEX_PREFIX = "re:"
@@ -134,8 +119,13 @@ class Rule:
         return self.comment_pattern is not None
 
 
+# The file's columns are Rule's fields, in order.
+ENCODING_COLUMNS = tuple(f.name for f in fields(Rule))
+PATTERN_COLUMNS = ENCODING_COLUMNS[3:5] + ENCODING_COLUMNS[6:]
+EXTRACTOR_COLUMNS = ENCODING_COLUMNS[7:]  # per-comment fields, need comment_pattern
+
+
 def _parse_pattern(cell: str, where: str) -> Pattern | None:
-    cell = cell.strip()
     if cell == ABSENT or cell == "":
         return None
     if cell.startswith(REGEX_PREFIX):
@@ -153,16 +143,16 @@ def _parse_row(row: list[str], where: str) -> Rule:
         raise EncodingFileError(
             f"{where}: expected {len(ENCODING_COLUMNS)} cells, got {len(row)}"
         )
-    site_id = row[0].strip()
-    if not site_id:
+    cells = {name: cell.strip() for name, cell in zip(ENCODING_COLUMNS, row)}
+    if not cells["site_id"]:
         raise EncodingFileError(f"{where}: empty site_id")
 
-    flag = row[2].strip()
+    flag = cells["has_comments"]
     if flag not in ("True", "False"):
         raise EncodingFileError(f"{where}: has_comments must be True or False, got {flag!r}")
     has_comments = flag == "True"
 
-    size_cell = row[5].strip()
+    size_cell = cells["empty_size"]
     if size_cell == ABSENT or size_cell == "":
         empty_size = None
     else:
@@ -175,60 +165,32 @@ def _parse_row(row: list[str], where: str) -> Rule:
         if empty_size < 0:
             raise EncodingFileError(f"{where}: empty_size must be >= 0, got {empty_size}")
 
-    names = ENCODING_COLUMNS[3:5] + ENCODING_COLUMNS[6:]
-    cells = row[3:5] + row[6:]
     patterns = {
-        name: _parse_pattern(cell, f"{where} column {name}")
-        for name, cell in zip(names, cells)
+        name: _parse_pattern(cells[name], f"{where} column {name}") for name in PATTERN_COLUMNS
     }
 
-    rule = Rule(
-        site_id=site_id,
-        label=row[1].strip(),
-        has_comments=has_comments,
-        open_pattern=patterns["open_pattern"],
-        close_pattern=patterns["close_pattern"],
-        empty_size=empty_size,
-        comment_pattern=patterns["comment_pattern"],
-        date_pattern=patterns["date_pattern"],
-        author_pattern=patterns["author_pattern"],
-        depth_pattern=patterns["depth_pattern"],
-        author_url_pattern=patterns["author_url_pattern"],
-        text_pattern=patterns["text_pattern"],
-    )
-
     if has_comments:
-        if rule.open_pattern is None:
+        if patterns["open_pattern"] is None:
             raise EncodingFileError(
                 f"{where}: has_comments is True but open_pattern is absent"
             )
-        extractors = (
-            rule.date_pattern,
-            rule.author_pattern,
-            rule.depth_pattern,
-            rule.author_url_pattern,
-            rule.text_pattern,
-        )
-        if rule.comment_pattern is None and any(p is not None for p in extractors):
+        if patterns["comment_pattern"] is None and any(
+            patterns[name] is not None for name in EXTRACTOR_COLUMNS
+        ):
             raise EncodingFileError(
                 f"{where}: extraction patterns set but comment_pattern is absent"
             )
-    else:
-        other = (
-            rule.open_pattern,
-            rule.close_pattern,
-            rule.comment_pattern,
-            rule.date_pattern,
-            rule.author_pattern,
-            rule.depth_pattern,
-            rule.author_url_pattern,
-            rule.text_pattern,
+    elif empty_size is not None or any(p is not None for p in patterns.values()):
+        raise EncodingFileError(
+            f"{where}: has_comments is False, all other fields must be False"
         )
-        if empty_size is not None or any(p is not None for p in other):
-            raise EncodingFileError(
-                f"{where}: has_comments is False, all other fields must be False"
-            )
-    return rule
+    return Rule(
+        site_id=cells["site_id"],
+        label=cells["label"],
+        has_comments=has_comments,
+        empty_size=empty_size,
+        **patterns,
+    )
 
 
 def parse_encoding_file(path: str | Path) -> dict[str, Rule]:
@@ -240,7 +202,7 @@ def parse_encoding_file(path: str | Path) -> dict[str, Rule]:
     path = Path(path)
     if not path.is_file():
         raise EncodingFileError(f"encoding file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -264,14 +226,16 @@ def parse_encoding_file(path: str | Path) -> dict[str, Rule]:
     return rules
 
 
-def _format_pattern(pattern: Pattern | None) -> str:
-    if pattern is None:
+def _format_cell(value: object) -> str:
+    if value is None:
         return ABSENT
-    if pattern.kind == "regex":
-        return REGEX_PREFIX + pattern.source
-    if pattern.source in ("", ABSENT) or pattern.source.startswith(REGEX_PREFIX):
-        raise ValueError(f"literal pattern {pattern.source!r} cannot be written losslessly")
-    return pattern.source
+    if not isinstance(value, Pattern):
+        return str(value)
+    if value.kind == "regex":
+        return REGEX_PREFIX + value.source
+    if value.source in ("", ABSENT) or value.source.startswith(REGEX_PREFIX):
+        raise ValueError(f"literal pattern {value.source!r} cannot be written losslessly")
+    return value.source
 
 
 def write_encoding_file(rules: dict[str, Rule], path: str | Path) -> None:
@@ -280,19 +244,4 @@ def write_encoding_file(rules: dict[str, Rule], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(ENCODING_COLUMNS)
         for rule in rules.values():
-            writer.writerow(
-                [
-                    rule.site_id,
-                    rule.label,
-                    "True" if rule.has_comments else "False",
-                    _format_pattern(rule.open_pattern),
-                    _format_pattern(rule.close_pattern),
-                    ABSENT if rule.empty_size is None else str(rule.empty_size),
-                    _format_pattern(rule.comment_pattern),
-                    _format_pattern(rule.date_pattern),
-                    _format_pattern(rule.author_pattern),
-                    _format_pattern(rule.depth_pattern),
-                    _format_pattern(rule.author_url_pattern),
-                    _format_pattern(rule.text_pattern),
-                ]
-            )
+            writer.writerow([_format_cell(getattr(rule, col)) for col in ENCODING_COLUMNS])

@@ -142,11 +142,6 @@ class MutualGraph:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
-    def neighbors(self, node: str) -> list[str]:
-        out = [b for a, b in self.edges if a == node]
-        out += [a for a, b in self.edges if b == node]
-        return sorted(out)
-
 
 def mutual_link_graph(
     links: Iterable[Link], registry: Sequence[Site], *, include_comments: bool = True

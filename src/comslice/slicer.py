@@ -10,9 +10,11 @@ corpus, a skipped page only costs recall.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
 from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
 
 from .corpus import Corpus, Page
 from .encoding import Rule
@@ -311,9 +313,11 @@ def slice_corpus_parallel(
     """Like slice_corpus but fanned out over worker processes.
 
     Results keep manifest order regardless of worker count, so parallel
-    output is byte-identical to a serial run.
+    output is byte-identical to a serial run. The pool never holds more
+    processes than there are CPUs or pages.
     """
-    if workers <= 1 or len(corpus.pages) <= 1:
+    workers = min(workers, os.cpu_count() or 1, len(corpus.pages))
+    if workers <= 1:
         return slice_corpus(corpus, rules)
     for page in corpus.pages:
         if page.site_id not in rules:
@@ -338,13 +342,15 @@ class ErrorReport:
     errors: list[SliceError]
     warnings: list[UniformSizeWarning]
 
+    def _counts(self) -> Counter[tuple[str, str]]:
+        return Counter((e.site_id, e.kind) for e in self.errors)
+
     def count(self, site_id: str, kind: str) -> int:
-        return sum(1 for e in self.errors if e.site_id == site_id and e.kind == kind)
+        return self._counts()[(site_id, kind)]
 
     def summary_rows(self) -> list[tuple[str, str, int]]:
         """(site_id, kind, count) rows, only non-zero, sorted for stable output."""
-        pairs = sorted({(e.site_id, e.kind) for e in self.errors})
-        return [(site, kind, self.count(site, kind)) for site, kind in pairs]
+        return [(site, kind, n) for (site, kind), n in sorted(self._counts().items())]
 
     def detail_rows(self) -> list[tuple[str, str, str, str]]:
         return sorted((e.site_id, e.page_path, e.kind, e.detail) for e in self.errors)

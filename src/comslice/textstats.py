@@ -71,14 +71,6 @@ def tokenize(data: bytes, stopwords: frozenset[str] | None = None) -> list[str]:
     return [t for t in _WORD_RE.findall(text) if len(t) >= 2 and t not in stopwords]
 
 
-def count_tokens(docs: Iterable[Iterable[str]]) -> Counter[str]:
-    """Aggregate token counts over many documents; order-independent."""
-    counts: Counter[str] = Counter()
-    for doc in docs:
-        counts.update(doc)
-    return counts
-
-
 def corpus_token_counts(
     pages: Iterable[SlicedPage],
     *,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -213,3 +216,26 @@ def test_format_report_keep_branch():
     report = format_report(result)
     assert "decision: KEEP AS-IS" in report
     assert "pages sampled: 3" in report
+
+
+def _reference_sample(corpus, n, seed):
+    """The documented sampling, written with deques: seeded per-site shuffle, then round-robin."""
+    rng = random.Random(seed)
+    queues = []
+    for site_id in sorted({p.site_id for p in corpus.pages}):
+        pages = sorted((p for p in corpus.pages if p.site_id == site_id), key=lambda p: p.page_path)
+        rng.shuffle(pages)
+        queues.append(deque(pages))
+    picked = []
+    while len(picked) < min(n, len(corpus.pages)):
+        for queue in queues:
+            if queue and len(picked) < n:
+                picked.append(queue.popleft())
+    return picked
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 11, 12, 50])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sample_order_matches_reference(n, seed):
+    corpus = many_pages_corpus()
+    assert sample_corpus(corpus, n, seed).pages == _reference_sample(corpus, n, seed)

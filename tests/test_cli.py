@@ -17,6 +17,7 @@ from conftest import (
     OPEN,
     fragment,
     make_precise_rule,
+    make_rule,
     page_bytes,
     write_corpus,
 )
@@ -271,3 +272,88 @@ def test_usage_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["slice-rough"]) == 2  # missing required arguments
     capsys.readouterr()
+
+
+@pytest.fixture
+def golden_ws(tmp_path):
+    """A precise site and a rough one, so every output column is exercised.
+
+    The rough site (beta) has two empty sections of identical size and no
+    empty_size, which raises a uniform_size_warning; its audit row keeps
+    the comment columns empty.
+    """
+    pages = {
+        ("alpha", "alpha/a1.html"): page_bytes(
+            fragments=[fragment(author="Zoé", date="2021-05-06", depth=2, text="très bien")]
+        ),
+        ("alpha", "alpha/a2.html"): page_bytes(fragments=None),
+        ("beta", "beta/b1.html"): page_bytes(fragments=[]),
+        ("beta", "beta/b2.html"): page_bytes(fragments=[]),
+    }
+    root, manifest = write_corpus(
+        tmp_path,
+        sites={"alpha": ("blog", ["alpha.example.org"]), "beta": ("press", ["beta.example.org"])},
+        pages=pages,
+    )
+    encoding = tmp_path / "encoding.csv"
+    write_encoding_file(
+        {
+            "alpha": make_precise_rule(site_id="alpha", label="blog"),
+            "beta": make_rule(site_id="beta", label="press"),
+        },
+        encoding,
+    )
+    return {"root": root, "manifest": manifest, "encoding": encoding, "out": tmp_path / "out"}
+
+
+def test_golden_comments_jsonl_line(golden_ws):
+    assert run(base_args(golden_ws, "slice-precise")) == 0
+    assert (golden_ws["out"] / "comments.jsonl").read_bytes() == (
+        '{"site_id": "alpha", "page_path": "alpha/a1.html", "index": 0, '
+        '"span_start": 45, "span_end": 195, "author": "Zoé", "date": "2021-05-06", '
+        '"depth": 2, "author_url": null, "text": "très bien"}\n'
+    ).encode("utf-8")
+
+
+def test_golden_error_summary_csv(golden_ws):
+    assert run(base_args(golden_ws, "slice-rough")) == 0
+    assert (golden_ws["out"] / "error_summary.csv").read_bytes() == (
+        b"site_id,kind,count\r\n"
+        b"alpha,missing_opening,1\r\n"
+        b"beta,uniform_size_warning,2\r\n"
+    )
+
+
+def test_golden_audit_sites_csv(golden_ws):
+    assert run(base_args(golden_ws, "audit")) == 0
+    assert (golden_ws["out"] / "audit_sites.csv").read_bytes() == (
+        b"site_id,label,pages,sections,comment_bytes,total_bytes,comments,commenter_urls\r\n"
+        b"alpha,blog,2,1,169,289,1,0\r\n"
+        b"beta,press,2,2,80,200,,\r\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, option, value, status",
+    [
+        ("tokens", "--top-k", "0", 2),
+        ("tokens", "--top-k", "-1", 2),
+        ("tokens", "--top-k", "two", 2),
+        ("tokens", "--top-k", "1", 0),
+        ("audit", "--sample-n", "0", 2),
+        ("audit", "--sample-n", "-5", 2),
+        ("slice-rough", "--workers", "0", 2),
+        ("links", "--workers", "-3", 2),
+        ("audit", "--threshold-link", "-0.1", 2),
+        ("audit", "--threshold-token", "1.5", 2),
+        ("audit", "--threshold-divergence", "nan", 2),
+        ("audit", "--threshold-link", "inf", 2),
+        ("audit", "--threshold-link", "0", 0),
+        ("audit", "--threshold-divergence", "1", 0),
+    ],
+)
+def test_out_of_range_values_exit_2(workspace, capsys, command, option, value, status):
+    assert run(base_args(workspace, command) + [option, value]) == status
+    if status == 2:
+        assert option in capsys.readouterr().err
+        assert not workspace["out"].exists()

@@ -171,3 +171,25 @@ def test_resolve_url_is_deterministic():
 def test_resolve_url_returns_registered_site_or_none(url):
     result = resolve_url(url, REGISTRY)
     assert result in {None, "host", "blog", "other"}
+
+
+def test_manifest_with_utf8_bom_loads(tmp_path):
+    root, manifest = write_corpus(
+        tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "p.html"): b"x"}
+    )
+    manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    corpus = load_corpus(root, manifest)
+    assert [(p.site_id, p.page_path) for p in corpus.pages] == [("s1", "p.html")]
+
+
+@pytest.mark.parametrize("second_path", ["p.html", "./p.html"])
+def test_page_path_under_two_sites_is_fatal(tmp_path, second_path):
+    root, manifest = write_corpus(
+        tmp_path,
+        sites={"s1": ("blog", ["s1.org"]), "s2": ("press", ["s2.org"])},
+        pages={("s1", "p.html"): b"x"},
+    )
+    with open(manifest, "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["s2", "", second_path, ""])
+    with pytest.raises(ManifestError, match=r"site s1 \(row 4\) and site s2 \(row 5\)"):
+        load_corpus(root, manifest)

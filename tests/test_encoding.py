@@ -196,3 +196,29 @@ def test_round_trip_property(tmp_path_factory, open_pat, close_pat, empty_size, 
     path = tmp_path_factory.mktemp("enc") / "encoding.csv"
     write_encoding_file({rule.site_id: rule}, path)
     assert parse_encoding_file(path) == {rule.site_id: rule}
+
+
+def test_golden_encoding_file_bytes(tmp_path):
+    rules = {
+        "s1": make_precise_rule(site_id="s1", label="blog", date_pattern=Pattern("regex", "d,(\\d+)")),
+        "s3": make_rule(site_id="s3", label="", has_comments=False, open_pattern=None, close_pattern=None),
+    }
+    path = tmp_path / "encoding.csv"
+    write_encoding_file(rules, path)
+    assert path.read_bytes() == (
+        b"site_id,label,has_comments,open_pattern,close_pattern,empty_size,comment_pattern,"
+        b"date_pattern,author_pattern,depth_pattern,author_url_pattern,text_pattern\r\n"
+        b's1,blog,True,"<div id=""comments"">",<!-- COMMENTS END -->,40,"<div class=""comment"">",'
+        b'"re:d,(\\d+)","<span class=""author"">","re:class=""depth-(\\d+)""",'
+        b'"re:<a class=""url"" href=""([^""]*)""",re:<p>([^<]*)</p>\r\n'
+        b"s3,,False,False,False,False,False,False,False,False,False,False\r\n"
+    )
+    assert parse_encoding_file(path) == rules
+
+
+def test_encoding_file_with_utf8_bom_parses(tmp_path):
+    rules = {"s1": make_precise_rule(site_id="s1")}
+    path = tmp_path / "encoding.csv"
+    write_encoding_file(rules, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert parse_encoding_file(path) == rules

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -395,3 +398,43 @@ def test_uniform_size_warning_silent_when_sections_are_legitimately_empty():
     pages = {f"p{i}.html": page_bytes(fragments=[]) for i in range(4)}
     report = _report_for(pages, rule=make_rule(empty_size=EMPTY_SIZE))
     assert report.warnings == []
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pages, pool_size",
+    [
+        (100_000, 4, 3, 3),  # capped by pages
+        (100_000, 2, 40, 2),  # capped by CPUs
+        (3, 8, 40, 3),  # asked-for count fits
+        (8, None, 40, None),  # unknown CPU count: serial, no pool
+        (8, 4, 1, None),  # one page: serial, no pool
+    ],
+)
+def test_parallel_pool_is_capped(monkeypatch, workers, cpus, pages, pool_size):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    corpus = _corpus_with_pages(
+        {f"p{i}.html": page_bytes(fragments=[fragment(text=f"c{i}")]) for i in range(pages)}
+    )
+    rules = {"s1": make_rule()}
+    assert slice_corpus_parallel(corpus, rules, workers=workers) == slice_corpus(corpus, rules)
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])

@@ -13,7 +13,6 @@ from scipy.spatial.distance import jensenshannon
 from comslice.slicer import SlicedPage
 from comslice.textstats import (
     corpus_token_counts,
-    count_tokens,
     default_stopwords,
     jsd,
     load_stopwords,
@@ -82,16 +81,6 @@ def test_empty_input_tokenizes_to_nothing():
 
 def test_pure_numbers_tokenize_to_nothing():
     assert tokenize(b"<b>2017 2018</b>") == []
-
-
-def test_count_tokens_aggregates_documents():
-    docs = [["un", "deux"], [], ["deux", "deux"]]
-    assert count_tokens(docs) == Counter({"deux": 3, "un": 1})
-
-
-def test_count_tokens_is_order_independent():
-    docs = [["a", "b"], ["b"], ["c", "a"]]
-    assert count_tokens(docs) == count_tokens(reversed(docs))
 
 
 def test_load_stopwords_file(tmp_path):
