@@ -12,6 +12,7 @@ normalized; all downstream slicing is byte-exact against them.
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
@@ -31,6 +32,11 @@ class Site:
     site_id: str
     label: str
     url_prefixes: tuple[str, ...]
+
+    @functools.cached_property
+    def normalized(self) -> tuple[str, ...]:
+        """url_prefixes passed through normalize_url, in the same order."""
+        return tuple(normalize_url(prefix) for prefix in self.url_prefixes)
 
 
 @dataclass(frozen=True)
@@ -118,14 +124,14 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
         candidate = Site(site_id=site_id, label=row[1].strip(), url_prefixes=prefixes)
         known = sites.get(site_id)
         if known is None:
-            for prefix in prefixes:
-                owner = prefix_owner.get(prefix)
+            for prefix, norm in zip(prefixes, candidate.normalized):
+                owner = prefix_owner.get(norm)
                 if owner is not None and owner != site_id:
                     raise ManifestError(
                         f"manifest {manifest} row {lineno}: prefix {prefix!r} "
-                        f"already owned by site {owner}"
+                        f"({norm!r} after normalization) already owned by site {owner}"
                     )
-                prefix_owner[prefix] = site_id
+                prefix_owner[norm] = site_id
             sites[site_id] = candidate
         elif known != candidate:
             raise ManifestError(
@@ -212,8 +218,7 @@ def resolve_url(url: str, registry: Sequence[Site] | Iterable[Site]) -> str | No
     best_len = -1
     best_site: str | None = None
     for site in registry:
-        for prefix in site.url_prefixes:
-            norm = normalize_url(prefix)
+        for norm in site.normalized:
             if target.startswith(norm) and len(norm) > best_len:
                 best_len = len(norm)
                 best_site = site.site_id

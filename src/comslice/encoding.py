@@ -22,11 +22,6 @@ ABSENT = "False"
 REGEX_PREFIX = "re:"
 
 
-@functools.lru_cache(maxsize=512)
-def _compile(source: str) -> re.Pattern[bytes]:
-    return re.compile(source.encode("utf-8"))
-
-
 @dataclass(frozen=True)
 class Pattern:
     """A literal byte substring or a byte-level regex, matched case-sensitively."""
@@ -34,35 +29,21 @@ class Pattern:
     kind: Literal["literal", "regex"]
     source: str
 
-    def _needle(self) -> bytes:
-        return self.source.encode("utf-8")
+    @functools.cached_property
+    def regex(self) -> re.Pattern[bytes]:
+        """The compiled matcher; a literal compiles to its escaped bytes."""
+        source = self.source.encode("utf-8")
+        return re.compile(re.escape(source) if self.kind == "literal" else source)
 
     def search(self, data: bytes, pos: int = 0) -> tuple[int, int] | None:
         """First match at or after pos, as (start, end), or None."""
-        if self.kind == "literal":
-            start = data.find(self._needle(), pos)
-            if start == -1:
-                return None
-            return start, start + len(self._needle())
-        m = _compile(self.source).search(data, pos)
-        if m is None:
-            return None
-        return m.start(), m.end()
+        m = self.regex.search(data, pos)
+        return None if m is None else m.span()
 
     def finditer(self, data: bytes) -> Iterator[tuple[int, int]]:
         """All non-overlapping matches, left to right, always advancing."""
-        if self.kind == "literal":
-            needle = self._needle()
-            pos = 0
-            while True:
-                start = data.find(needle, pos)
-                if start == -1:
-                    return
-                yield start, start + len(needle)
-                pos = start + max(len(needle), 1)
-        else:
-            for m in _compile(self.source).finditer(data):
-                yield m.start(), m.end()
+        for m in self.regex.finditer(data):
+            yield m.span()
 
     def extract(self, data: bytes) -> bytes | None:
         """Pull one field value out of a comment fragment.
@@ -73,7 +54,7 @@ class Pattern:
         whitespace; an empty result counts as absent.
         """
         if self.kind == "regex":
-            m = _compile(self.source).search(data)
+            m = self.regex.search(data)
             if m is None:
                 return None
             value = m.group(1) if m.re.groups else m.group(0)
@@ -129,12 +110,12 @@ def _parse_pattern(cell: str, where: str) -> Pattern | None:
     if cell == ABSENT or cell == "":
         return None
     if cell.startswith(REGEX_PREFIX):
-        source = cell[len(REGEX_PREFIX):]
+        pattern = Pattern(kind="regex", source=cell[len(REGEX_PREFIX):])
         try:
-            _compile(source)
+            pattern.regex  # compile now, so a bad regex fails at load time
         except re.error as exc:
-            raise EncodingFileError(f"{where}: bad regex {source!r}: {exc}") from None
-        return Pattern(kind="regex", source=source)
+            raise EncodingFileError(f"{where}: bad regex {pattern.source!r}: {exc}") from None
+        return pattern
     return Pattern(kind="literal", source=cell)
 
 

@@ -64,15 +64,22 @@ class SlicedPage:
     """A page partitioned into main spans and comment-section spans.
 
     Spans are half-open (start, end) byte offsets into raw_bytes, sorted,
-    non-empty and non-overlapping; together the two kinds cover the whole
-    page, so reassembling them is byte-identical to the input.
+    non-empty and non-overlapping. Only the section spans are stored; the
+    main spans are their complement, so together the two kinds cover the
+    whole page and reassembling them is byte-identical to the input.
     """
 
     site_id: str
     page_path: str
     raw_bytes: bytes
-    main_spans: tuple[Span, ...]
     section_spans: tuple[Span, ...]
+
+    @property
+    def main_spans(self) -> tuple[Span, ...]:
+        """The non-empty gaps before, between and after the sections."""
+        starts = [0, *(end for _, end in self.section_spans)]
+        ends = [*(start for start, _ in self.section_spans), len(self.raw_bytes)]
+        return tuple((start, end) for start, end in zip(starts, ends) if start < end)
 
     @property
     def stripped_bytes(self) -> bytes:
@@ -115,27 +122,8 @@ class Comment:
     text: str | None
 
 
-def _complement(n: int, sections: tuple[Span, ...]) -> tuple[Span, ...]:
-    main: list[Span] = []
-    pos = 0
-    for start, end in sections:
-        if pos < start:
-            main.append((pos, start))
-        pos = end
-    if pos < n:
-        main.append((pos, n))
-    return tuple(main)
-
-
 def _whole_page(page: Page) -> SlicedPage:
-    n = len(page.raw_bytes)
-    return SlicedPage(
-        site_id=page.site_id,
-        page_path=page.page_path,
-        raw_bytes=page.raw_bytes,
-        main_spans=((0, n),) if n else (),
-        section_spans=(),
-    )
+    return SlicedPage(page.site_id, page.page_path, page.raw_bytes, section_spans=())
 
 
 def rough_slice(page: Page, rule: Rule) -> tuple[SlicedPage, list[SliceError]]:
@@ -184,13 +172,7 @@ def rough_slice(page: Page, rule: Rule) -> tuple[SlicedPage, list[SliceError]]:
     if not sections:
         return _whole_page(page), [SliceError(page.site_id, page.page_path, MISSING_OPENING)]
 
-    sliced = SlicedPage(
-        site_id=page.site_id,
-        page_path=page.page_path,
-        raw_bytes=data,
-        main_spans=_complement(n, tuple(sections)),
-        section_spans=tuple(sections),
-    )
+    sliced = SlicedPage(page.site_id, page.page_path, data, section_spans=tuple(sections))
     errors: list[SliceError] = []
     if len(sections) > 1:
         errors.append(SliceError(page.site_id, page.page_path, MULTIPLE_OPENINGS))

@@ -116,6 +116,32 @@ def test_literal_matching_is_case_sensitive_and_exact():
     assert list(Pattern("literal", "aa").finditer(b"aaaa")) == [(0, 2), (2, 4)]
 
 
+def _find_all(needle: bytes, data: bytes) -> list[tuple[int, int]]:
+    """Non-overlapping occurrences of needle by bytes.find, stepping past empty ones."""
+    hits, pos = [], 0
+    while (start := data.find(needle, pos)) != -1:
+        hits.append((start, start + len(needle)))
+        pos = start + max(len(needle), 1)
+    return hits
+
+
+REGEX_SYNTAX = st.sampled_from("ab.*+?()[]{}|^$\\é")
+
+
+@given(
+    needle=st.text(REGEX_SYNTAX, max_size=4),
+    data=st.binary(max_size=40) | st.text(REGEX_SYNTAX, max_size=40).map(str.encode),
+    pos=st.integers(min_value=0, max_value=40),
+)
+def test_literal_matching_equals_bytes_find(needle, data, pos):
+    pattern = Pattern("literal", needle)
+    raw = needle.encode("utf-8")
+    pos = min(pos, len(data))
+    start = data.find(raw, pos)
+    assert pattern.search(data, pos) == (None if start == -1 else (start, start + len(raw)))
+    assert list(pattern.finditer(data)) == _find_all(raw, data)
+
+
 def test_regex_matching():
     pattern = Pattern("regex", r"<h[12]>")
     assert pattern.search(b"<h3><h2><h1>") == (4, 8)

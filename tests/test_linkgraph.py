@@ -26,22 +26,7 @@ from conftest import CLOSE, OPEN, make_rule
 
 
 def sliced_single(raw: bytes, sections=()) -> SlicedPage:
-    spans = tuple(sections)
-    main = []
-    pos = 0
-    for start, end in spans:
-        if pos < start:
-            main.append((pos, start))
-        pos = end
-    if pos < len(raw):
-        main.append((pos, len(raw)))
-    return SlicedPage(
-        site_id="src",
-        page_path="p.html",
-        raw_bytes=raw,
-        main_spans=tuple(main),
-        section_spans=spans,
-    )
+    return SlicedPage(site_id="src", page_path="p.html", raw_bytes=raw, section_spans=tuple(sections))
 
 
 REGISTRY = [

@@ -101,7 +101,6 @@ def test_corpus_token_counts_with_and_without_comments():
         site_id="s1",
         page_path="p.html",
         raw_bytes=raw,
-        main_spans=((0, 19),),
         section_spans=((19, len(raw)),),
     )
     with_comments = corpus_token_counts([page], include_comments=True, stopwords=NO_STOPWORDS)
