@@ -3,8 +3,9 @@
 Every subcommand loads the corpus (directory + manifest) and the encoding
 file, runs one processing step, and writes its results under --out.
 Slicing problems on individual pages are reported, not fatal; broken
-configuration (missing files, bad manifest, bad encoding file) exits
-with status 1, usage mistakes with status 2.
+configuration (missing or unreadable files, bad manifest, bad encoding
+file, an --out that cannot be a directory) exits with status 1 and an
+``error:`` line, usage mistakes with status 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -40,14 +40,6 @@ from .slicer import (
     slice_corpus_parallel,
 )
 from .textstats import corpus_token_counts, load_stopwords, top_k
-
-
-def _default_workers() -> int:
-    value = os.environ.get("COMSLICE_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _bounded(kind: Callable[[str], float], low: float, high: float = math.inf):
@@ -81,8 +73,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=_positive_int,
-        default=_default_workers(),
-        help="worker processes for slicing (default: $COMSLICE_WORKERS or 1)",
+        default=1,
+        help="worker processes for slicing (default: 1)",
     )
 
 
@@ -280,8 +272,8 @@ def _cmd_graph(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_tokens(args: argparse.Namespace, out: Path) -> int:
-    _, _, sliced, _ = _slice(args)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+    _, _, sliced, _ = _slice(args)
     with_comments = corpus_token_counts(sliced, include_comments=True, stopwords=stopwords)
     without = corpus_token_counts(sliced, include_comments=False, stopwords=stopwords)
     for name, counts in (("with", with_comments), ("without", without)):
@@ -295,8 +287,8 @@ def _cmd_tokens(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
-    corpus, rules = _load(args)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+    corpus, rules = _load(args)
     thresholds = audit_mod.Thresholds(
         link=args.threshold_link,
         token=args.threshold_token,
@@ -354,10 +346,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args, out)
-    except ComsliceError as exc:
+    except (ComsliceError, OSError) as exc:  # OSError: e.g. --out names a file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

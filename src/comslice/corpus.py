@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Iterable, Sequence
 
-from .errors import ManifestError
+from .errors import ManifestError, read_text
 
 MANIFEST_COLUMNS = ("site_id", "label", "page_path", "url_prefixes")
 
-_SCHEME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
+# a host with a numeric port and no scheme ("a.org:8080/x") is not scheme "a.org"
+_SCHEME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:(?!\d+(?:[/?\\]|$))")
+_HOST_END_RE = re.compile(r"[/?\\]")
 
 
 @dataclass(frozen=True)
@@ -85,26 +88,23 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     path or row): missing manifest, wrong header, missing page file,
     duplicate (site_id, page_path), one page_path under two site_ids (both
     would write the same stripped file), a page referencing a site_id no
-    row defines, one prefix claimed by two sites, or conflicting
-    redefinitions of a site.
+    row defines, one prefix claimed by two sites (compared after
+    normalize_url), or conflicting redefinitions of a site.
     """
     root = Path(root)
     manifest = Path(manifest)
-    if not manifest.is_file():
-        raise ManifestError(f"manifest not found: {manifest}")
-
-    with open(manifest, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"manifest is empty: {manifest}") from None
-        if tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
-            raise ManifestError(
-                f"manifest {manifest} has header {header}, "
-                f"expected {list(MANIFEST_COLUMNS)}"
-            )
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+    text = read_text(manifest, ManifestError, "manifest")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ManifestError(f"manifest is empty: {manifest}") from None
+    if tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
+        raise ManifestError(
+            f"manifest {manifest} has header {header}, "
+            f"expected {list(MANIFEST_COLUMNS)}"
+        )
+    rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
 
     # First pass: collect site definitions so page rows can appear in any order.
     sites: dict[str, Site] = {}
@@ -177,34 +177,52 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     return Corpus(registry=list(sites.values()), pages=pages)
 
 
+def _bare_host(host: str) -> str:
+    """host without its port, surrounding whitespace, trailing dots and leading www.
+
+    Repeated until nothing changes, so that normalizing a normalized URL
+    changes nothing.
+    """
+    while True:
+        if host.startswith("["):  # IPv6 literal: its colons are not the port separator
+            trimmed = host[: host.find("]") + 1] or host
+        else:
+            trimmed = host.partition(":")[0]
+        trimmed = trimmed.strip().rstrip(".").removeprefix("www.")
+        if trimmed == host:
+            return host
+        host = trimmed
+
+
 def normalize_url(url: str) -> str:
     """Normalize a URL for prefix matching.
 
-    Scheme and a leading ``www.`` are stripped, the host is lowercased,
-    the fragment is dropped, the query string is kept, and a bare host
-    gains a trailing ``/`` so host boundaries stay intact (``a.org`` never
-    matches ``a.org.evil.com``). The path keeps its original case.
+    The scheme is stripped. The host ends at the first ``/``, ``?`` or
+    ``\\``; it loses its userinfo (after ``//`` only), port, trailing dots
+    and leading ``www.``, and is lowercased (RFC 3986 section 3.2). The
+    fragment is dropped, the query string is kept, backslashes in the path
+    become ``/`` as in browsers, and a bare host gains a trailing ``/`` so
+    host boundaries stay intact (``a.org`` never matches
+    ``a.org.evil.com``). The path keeps its original case.
     """
-    s = url.strip()
-    hash_pos = s.find("#")
-    if hash_pos != -1:
-        s = s[:hash_pos]
+    s = url.partition("#")[0].strip()
     m = _SCHEME_RE.match(s)
     if m:
         s = s[m.end():]
-    if s.startswith("//"):
+    has_authority = s.startswith("//")  # only an authority holds userinfo (not mailto:)
+    if has_authority:
         s = s[2:]
-    cut = len(s)
-    for ch in "/?":
-        pos = s.find(ch)
-        if pos != -1:
-            cut = min(cut, pos)
-    host, rest = s[:cut].lower(), s[cut:]
-    if host.startswith("www."):
-        host = host[4:]
-    if not rest:
-        rest = "/"
-    return host + rest
+    host_end = _HOST_END_RE.search(s)
+    cut = host_end.start() if host_end else len(s)
+    host = s[:cut].lower()
+    if has_authority:
+        host = host.rpartition("@")[2]
+    host = _bare_host(host)
+    path, query_mark, query = s[cut:].partition("?")
+    rest = path.replace("\\", "/") + query_mark + query
+    if not host and rest.startswith("//"):  # would read as an authority when normalized again
+        rest = "/" + rest.lstrip("/")
+    return host + (rest or "/")
 
 
 def resolve_url(url: str, registry: Sequence[Site] | Iterable[Site]) -> str | None:

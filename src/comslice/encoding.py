@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Literal
 
-from .errors import EncodingFileError
+from .errors import EncodingFileError, read_text
 
 ABSENT = "False"
 REGEX_PREFIX = "re:"
@@ -181,29 +182,27 @@ def parse_encoding_file(path: str | Path) -> dict[str, Rule]:
     so a bad rule can never silently pass through to slicing.
     """
     path = Path(path)
-    if not path.is_file():
-        raise EncodingFileError(f"encoding file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EncodingFileError(f"encoding file is empty: {path}") from None
-        if tuple(h.strip() for h in header) != ENCODING_COLUMNS:
+    text = read_text(path, EncodingFileError, "encoding file")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EncodingFileError(f"encoding file is empty: {path}") from None
+    if tuple(h.strip() for h in header) != ENCODING_COLUMNS:
+        raise EncodingFileError(
+            f"encoding file {path} has header {header}, "
+            f"expected {list(ENCODING_COLUMNS)}"
+        )
+    rules: dict[str, Rule] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        rule = _parse_row(row, f"encoding file {path} row {lineno}")
+        if rule.site_id in rules:
             raise EncodingFileError(
-                f"encoding file {path} has header {header}, "
-                f"expected {list(ENCODING_COLUMNS)}"
+                f"encoding file {path} row {lineno}: duplicate site_id {rule.site_id}"
             )
-        rules: dict[str, Rule] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rule = _parse_row(row, f"encoding file {path} row {lineno}")
-            if rule.site_id in rules:
-                raise EncodingFileError(
-                    f"encoding file {path} row {lineno}: duplicate site_id {rule.site_id}"
-                )
-            rules[rule.site_id] = rule
+        rules[rule.site_id] = rule
     return rules
 
 

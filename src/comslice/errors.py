@@ -1,8 +1,12 @@
 """Fatal configuration errors shared across the package."""
 
+from __future__ import annotations
+
+from pathlib import Path
+
 
 class ComsliceError(Exception):
-    """Base class for fatal errors in corpus or encoding-file configuration."""
+    """Base class for fatal errors in the configuration: input files, stopword lists."""
 
 
 class ManifestError(ComsliceError):
@@ -11,3 +15,16 @@ class ManifestError(ComsliceError):
 
 class EncodingFileError(ComsliceError):
     """The encoding file is missing, malformed, or fails validation."""
+
+
+def read_text(path: Path, error: type[ComsliceError], what: str) -> str:
+    """The text of a UTF-8 configuration file (a leading BOM is dropped).
+
+    A missing file or bytes that are not UTF-8 raise error, naming the file.
+    """
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None

@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .errors import ComsliceError, read_text
 from .slicer import SlicedPage
 
 _SCRIPT_STYLE_RE = re.compile(
@@ -32,14 +33,15 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword list, one word per line, ``#`` starting a comment.
 
     Without a path the bundled French list is used; words are lowercased
-    to match the tokenizer's output.
+    to match the tokenizer's output. A missing file or one that is not
+    UTF-8 raises ComsliceError.
     """
     if path is None:
         text = resources.files("comslice").joinpath("data/stopwords_fr.txt").read_text(
             encoding="utf-8"
         )
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(Path(path), ComsliceError, "stopword list")
     words = set()
     for line in text.splitlines():
         word = line.split("#", 1)[0].strip().lower()

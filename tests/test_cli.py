@@ -237,17 +237,6 @@ def test_parallel_workers_give_identical_files(workspace, tmp_path):
         assert (serial_out / rel).read_bytes() == (parallel_out / rel).read_bytes()
 
 
-def test_workers_default_comes_from_environment(workspace, monkeypatch):
-    monkeypatch.setenv("COMSLICE_WORKERS", "2")
-    from comslice.cli import build_parser
-
-    args = build_parser().parse_args(base_args(workspace, "slice-rough"))
-    assert args.workers == 2
-    monkeypatch.setenv("COMSLICE_WORKERS", "not-a-number")
-    args = build_parser().parse_args(base_args(workspace, "slice-rough"))
-    assert args.workers == 1
-
-
 def test_missing_manifest_exits_1(workspace, capsys):
     args = base_args(workspace, "slice-rough")
     args[args.index("--manifest") + 1] = str(workspace["root"] / "absent.csv")
@@ -266,6 +255,35 @@ def test_bad_encoding_file_exits_1(workspace, capsys):
     workspace["encoding"].write_text("site_id,oops\n", encoding="utf-8")
     assert run(base_args(workspace, "audit")) == 1
     assert "encoding" in capsys.readouterr().err
+
+
+LATIN1 = "café".encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "command, option, content",
+    [
+        ("links", "--out", b"a file, not a directory"),
+        ("slice-rough", "--manifest", LATIN1),
+        ("crosstab", "--encoding", LATIN1),
+        ("tokens", "--stopwords", None),  # missing file
+        ("audit", "--stopwords", None),
+        ("tokens", "--stopwords", LATIN1),
+        ("audit", "--stopwords", LATIN1),
+    ],
+)
+def test_configuration_failures_exit_1(workspace, tmp_path, capsys, command, option, content):
+    path = tmp_path / "config-file"
+    if content is not None:
+        path.write_bytes(content)
+    args = base_args(workspace, command)
+    if option in args:
+        args[args.index(option) + 1] = str(path)
+    else:
+        args += [option, str(path)]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config-file" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import re
+from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from comslice.corpus import Corpus, Page, Site, load_corpus, normalize_url, resolve_url
@@ -83,14 +85,16 @@ def test_duplicate_page_is_fatal(tmp_path):
 
 
 def test_shared_prefix_is_fatal(tmp_path):
-    manifest = tmp_path / "manifest.csv"
-    with open(manifest, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site_id", "label", "page_path", "url_prefixes"])
-        writer.writerow(["s1", "blog", "", "same.org"])
-        writer.writerow(["s2", "press", "", "same.org"])
-    with pytest.raises(ManifestError, match="already owned"):
-        load_corpus(tmp_path, manifest)
+    # ownership is compared after normalization, as matching is
+    for first, second in [("same.org", "same.org"), ("a.org", "http://www.A.org/")]:
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["site_id", "label", "page_path", "url_prefixes"])
+            writer.writerow(["s1", "blog", "", first])
+            writer.writerow(["s2", "press", "", second])
+        with pytest.raises(ManifestError, match="already owned by site s1"):
+            load_corpus(tmp_path, manifest)
 
 
 def test_escaping_page_path_is_fatal(tmp_path):
@@ -125,13 +129,44 @@ def test_page_with_unknown_site_rejected():
         ("example.org/a?q=1#frag", "example.org/a?q=1"),
         ("ftp://example.org/Path/Case", "example.org/Path/Case"),
         ("http://www.example.org", "example.org/"),
+        ("http://user:pw@Example.org:8080/a", "example.org/a"),
+        ("https://example.org./a", "example.org/a"),
+        ("https://example.org\\a\\b?q=\\", "example.org/a/b?q=\\"),
+        ("http://[::1]:8080/a", "[::1]/a"),
+        ("example.org:8080/a", "example.org/a"),
+        ("localhost:8080", "localhost/"),
     ],
 )
 def test_normalize_url_cases(url, expected):
     assert normalize_url(url) == expected
 
 
+HOST_LABELS = st.text(st.sampled_from("abzAZ09-"), min_size=1, max_size=5)
+
+
+@given(
+    start=st.sampled_from(["http://", "HTTPS://", "//"]),
+    userinfo=st.just("") | st.text(st.sampled_from("ab.:@"), max_size=6).map(lambda u: u + "@"),
+    www=st.sampled_from(["", "www.", "WWW."]),
+    host=st.lists(HOST_LABELS, min_size=1, max_size=3).map(".".join),
+    dot=st.sampled_from(["", "."]),
+    port=st.sampled_from(["", ":", ":80", ":8443"]),
+    rest=st.from_regex(r"\A([/?][a-z/.@:?=]*)?\Z"),
+)
+def test_normalize_url_host_matches_urlsplit(start, userinfo, www, host, dot, port, rest):
+    url = start + userinfo + www + host + dot + port + rest
+    expected = urlsplit(url).hostname.rstrip(".")
+    if expected.startswith("www."):
+        expected = expected[4:]
+    assert re.match(r"[^/?]*", normalize_url(url)).group() == expected
+
+
 @given(st.text(min_size=0, max_size=60))
+@example("://")
+@example("////x")
+@example("?\x85#")
+@example("//@ [a]x:1")
+@example("www.www.a.org")
 def test_normalize_url_idempotent(url):
     once = normalize_url(url)
     assert normalize_url(once) == once
@@ -156,6 +191,13 @@ REGISTRY = [
         ("http://mirror.other.net/", "other"),
         ("mailto:someone@example.org", None),
         ("http://unrelated.example", None),
+        # port, userinfo, a trailing dot and a backslash leave the host intact
+        ("http://example.org:80/news", "host"),
+        ("https://user@example.org/", "host"),
+        ("https://example.org./x", "host"),
+        ("https://example.org\\x", "host"),
+        ("https://example.org@evil.com/", None),
+        ("https://evil.com/example.org", None),
     ],
 )
 def test_resolve_url(url, expected):
