@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from .corpus import Corpus, Page
 from .encoding import Rule
 from .errors import ComsliceError
-from .linkgraph import extract_all_links, link_noise
+from .linkgraph import extract_all_links
 from .slicer import SlicedPage, SliceError, precise_slice, slice_corpus
+# tokenize is unused here; perfbench's tracer patches comslice.audit.tokenize
 from .textstats import corpus_token_counts, jsd, tokenize
 
 
@@ -110,27 +111,15 @@ def measure_noise(
     links = extract_all_links(sliced_pages, corpus.registry)
     countable = [l for l in links if not l.is_self]
     comment_links = sum(1 for l in countable if l.in_comment)
+    main, comment = corpus_token_counts(sliced_pages, stopwords)
+    main_tokens = sum(main.values())
+    section_tokens = sum(comment.values())
 
-    section_tokens = sum(
-        len(tokenize(section, stopwords))
-        for page in sliced_pages
-        for section in page.sections_bytes
-    )
-    with_comments = corpus_token_counts(sliced_pages, include_comments=True, stopwords=stopwords)
-    without = corpus_token_counts(sliced_pages, include_comments=False, stopwords=stopwords)
-    main_tokens = sum(without.values())
-    total = section_tokens + main_tokens
-    token_noise = section_tokens / total if total else 0.0
-
-    if not with_comments and not without:
-        divergence = 0.0
-    else:
-        divergence = jsd(with_comments, without)
-
+    # without comment tokens the pages with and without comments are the same text
     return NoiseMeasurement(
-        link_noise=link_noise(links),
-        token_noise=token_noise,
-        text_divergence=divergence,
+        link_noise=comment_links / len(countable) if countable else 0.0,
+        token_noise=section_tokens / (section_tokens + main_tokens) if comment else 0.0,
+        text_divergence=jsd(main + comment, main) if comment else 0.0,
         countable_links=len(countable),
         comment_links=comment_links,
         section_tokens=section_tokens,

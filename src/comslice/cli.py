@@ -274,8 +274,8 @@ def _cmd_graph(args: argparse.Namespace, out: Path) -> int:
 def _cmd_tokens(args: argparse.Namespace, out: Path) -> int:
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     _, _, sliced, _ = _slice(args)
-    with_comments = corpus_token_counts(sliced, include_comments=True, stopwords=stopwords)
-    without = corpus_token_counts(sliced, include_comments=False, stopwords=stopwords)
+    without, comment = corpus_token_counts(sliced, stopwords)
+    with_comments = without + comment
     for name, counts in (("with", with_comments), ("without", without)):
         rows = top_k(counts, args.top_k)
         _write_csv(out / f"tokens_{name}_comments.csv", ("token", "count"), rows)

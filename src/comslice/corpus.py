@@ -88,8 +88,8 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     path or row): missing manifest, wrong header, missing page file,
     duplicate (site_id, page_path), one page_path under two site_ids (both
     would write the same stripped file), a page referencing a site_id no
-    row defines, one prefix claimed by two sites (compared after
-    normalize_url), or conflicting redefinitions of a site.
+    row defines, a prefix with no host, one prefix claimed by two sites
+    (compared after normalize_url), or conflicting redefinitions of a site.
     """
     root = Path(root)
     manifest = Path(manifest)
@@ -125,6 +125,10 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
         known = sites.get(site_id)
         if known is None:
             for prefix, norm in zip(prefixes, candidate.normalized):
+                if norm.startswith(("/", "?")):  # it would own every root-relative href
+                    raise ManifestError(
+                        f"manifest {manifest} row {lineno}: prefix {prefix!r} has no host"
+                    )
                 owner = prefix_owner.get(norm)
                 if owner is not None and owner != site_id:
                     raise ManifestError(

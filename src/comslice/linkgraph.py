@@ -119,18 +119,6 @@ def crosstab(links: Iterable[Link], labels: dict[str, str]) -> list[CrosstabRow]
     return rows
 
 
-def link_noise(links: Iterable[Link]) -> float:
-    """Share of countable links that sit inside comment sections.
-
-    Matches the crosstab exactly: summing inside over inside+outside of
-    every crosstab row gives this number back.
-    """
-    countable = _countable(links)
-    if not countable:
-        return 0.0
-    return sum(1 for l in countable if l.in_comment) / len(countable)
-
-
 @dataclass(frozen=True)
 class MutualGraph:
     """Undirected site graph keeping only reciprocated links.

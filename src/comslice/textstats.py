@@ -2,9 +2,9 @@
 
 The tokenizer is deliberately small and deterministic: decode, drop
 script/style blocks, turn the remaining tags into spaces, lowercase,
-keep runs of letters of length two or more, drop stopwords. It feeds the
-before/after comparisons, so it must behave identically on raw pages,
-stripped pages and bare comment sections.
+keep runs of letters of length two or more, drop stopwords. A page is
+tokenized once, whole; each token goes to main content or to the comments
+by the byte where it starts, so the two parts add up to the whole page.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import re
 from collections import Counter
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ComsliceError, read_text
-from .slicer import SlicedPage
+from .slicer import SlicedPage, Span
 
 _SCRIPT_STYLE_RE = re.compile(
     r"<(script|style)\b[^>]*>.*?(?:</\1[^>]*>|\Z)",
@@ -57,34 +57,55 @@ def default_stopwords() -> frozenset[str]:
     return _DEFAULT_STOPWORDS
 
 
-def tokenize(data: bytes, stopwords: frozenset[str] | None = None) -> list[str]:
-    """Turn raw HTML bytes into a list of lowercase word tokens.
+def _blank(match: re.Match[str]) -> str:
+    """Spaces as long as the match, so character offsets survive the removal."""
+    return " " * (match.end() - match.start())
+
+
+def tokenize(
+    data: bytes, stopwords: frozenset[str] | None = None, sections: Sequence[Span] = ()
+) -> tuple[list[str], list[str]]:
+    """Turn raw HTML bytes into lowercase word tokens, split as (main, comment).
 
     Tokens are maximal runs of Unicode letters (no digits, no underscore)
     at least two characters long, minus stopwords. HTML entities are left
-    as-is; ``&eacute;`` simply tokenizes as ``eacute``.
+    as-is; ``&eacute;`` simply tokenizes as ``eacute``. A token whose first
+    byte lies in one of the sorted ``sections`` spans is a comment token
+    (``SlicedPage.in_comment_section``); a span boundary never splits a word.
     """
     if stopwords is None:
         stopwords = default_stopwords()
     text = data.decode("utf-8", errors="replace")
-    text = _SCRIPT_STYLE_RE.sub(" ", text)
-    text = _TAG_RE.sub(" ", text)
-    text = text.lower()
-    return [t for t in _WORD_RE.findall(text) if len(t) >= 2 and t not in stopwords]
+    text = _SCRIPT_STYLE_RE.sub(_blank, text)
+    text = _TAG_RE.sub(_blank, text)
+    lowered = text.lower()
+    cuts = [0]
+    for offset in (bound for span in sections for bound in span):
+        # byte offset -> character of text -> position in lowered (İ lowercases to
+        # two characters); a cut inside a word moves to the word's end
+        chars = len(data[:offset].decode("utf-8", errors="replace"))
+        cut = len(text[:chars].lower())
+        word = _WORD_RE.match(lowered, cut - 1) if cut else None
+        cuts.append(word.end() if word else cut)
+    cuts.append(len(lowered))
+    parts: tuple[list[str], list[str]] = ([], [])
+    for i, (start, end) in enumerate(zip(cuts, cuts[1:])):
+        words = _WORD_RE.findall(lowered, start, end)
+        parts[i % 2].extend(t for t in words if len(t) >= 2 and t not in stopwords)
+    return parts
 
 
 def corpus_token_counts(
-    pages: Iterable[SlicedPage],
-    *,
-    include_comments: bool,
-    stopwords: frozenset[str] | None = None,
-) -> Counter[str]:
-    """Aggregate token counts over many pages, with or without comment sections."""
-    counts: Counter[str] = Counter()
+    pages: Iterable[SlicedPage], stopwords: frozenset[str] | None = None
+) -> tuple[Counter[str], Counter[str]]:
+    """Token counts over many pages, as (main, comment); their sum counts whole pages."""
+    main: Counter[str] = Counter()
+    comment: Counter[str] = Counter()
     for page in pages:
-        data = page.raw_bytes if include_comments else page.stripped_bytes
-        counts.update(tokenize(data, stopwords))
-    return counts
+        page_main, page_comment = tokenize(page.raw_bytes, stopwords, page.section_spans)
+        main.update(page_main)
+        comment.update(page_comment)
+    return main, comment
 
 
 def top_k(counts: Mapping[str, int], k: int) -> list[tuple[str, int]]:

@@ -131,6 +131,18 @@ def test_measure_noise_on_empty_pages_is_all_zero():
     assert (m.link_noise, m.token_noise, m.text_divergence) == (0.0, 0.0, 0.0)
 
 
+def test_section_inside_script_is_no_token_noise():
+    raw = page_bytes(
+        main_before=b"<p>article</p><script>", fragments=[b"<p>cache</p>"], main_after=b"</script>"
+    )
+    corpus = corpus_in_memory(sites={"a": ("blog", ["a.org"])}, pages={("a", "p.html"): raw})
+    sliced, errors = slice_corpus(corpus, {"a": make_rule(site_id="a")})
+    assert errors == [] and sliced[0].section_spans
+    m = measure_noise(sliced, corpus, stopwords=NO_STOPWORDS)
+    assert (m.section_tokens, m.main_tokens) == (0, 1)
+    assert (m.token_noise, m.text_divergence) == (0.0, 0.0)
+
+
 def measurement(link=0.0, token=0.0, divergence=0.0) -> NoiseMeasurement:
     return NoiseMeasurement(
         link_noise=link,

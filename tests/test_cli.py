@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import networkx as nx
 import pytest
@@ -209,6 +210,28 @@ def test_audit_outputs(workspace, capsys):
     assert text == capsys.readouterr().out
 
 
+def test_audit_token_counts_add_up_to_the_tokens_totals(tmp_path, capsys):
+    pages = {
+        # a section that touches words on both sides, and one inside <script>
+        ("s1", "joined.html"): page_bytes(
+            main_before=b"<p>bonjour", fragments=[b"salut"], main_after=b"monde</p>"
+        ),
+        ("s1", "script.html"): page_bytes(
+            main_before=b"<p>texte</p><script>", fragments=[b"cache"], main_after=b"</script>"
+        ),
+    }
+    root, manifest = write_corpus(tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages=pages)
+    encoding = tmp_path / "encoding.csv"
+    write_encoding_file({"s1": make_rule()}, encoding)
+    ws = {"root": root, "manifest": manifest, "encoding": encoding, "out": tmp_path / "out"}
+    assert run(base_args(ws, "tokens")) == 0
+    assert run(base_args(ws, "audit") + ["--sample-n", "10"]) == 0
+    out = capsys.readouterr().out
+    with_total, without_total = map(int, re.search(r"tokens: (\d+) with comments, (\d+) without", out).groups())
+    section, main = map(int, re.search(r"\[(\d+) comment tokens vs (\d+) main tokens\]", out).groups())
+    assert (section + main, main) == (with_total, without_total) == (4, 3)
+
+
 def test_audit_respects_thresholds(workspace):
     args = base_args(workspace, "audit") + [
         "--threshold-link",
@@ -270,6 +293,16 @@ LATIN1 = "café".encode("latin-1")
         ("audit", "--stopwords", None),
         ("tokens", "--stopwords", LATIN1),
         ("audit", "--stopwords", LATIN1),
+        # a URL prefix with no host would own every root-relative href
+        *(
+            pytest.param(
+                "links",
+                "--manifest",
+                b"site_id,label,page_path,url_prefixes\ns1,blog,," + prefix + b"\n",
+                id=f"prefix {prefix.decode()}",
+            )
+            for prefix in (b"http://", b"#top", b"http:///x", b"?q")
+        ),
     ],
 )
 def test_configuration_failures_exit_1(workspace, tmp_path, capsys, command, option, content):

@@ -97,6 +97,18 @@ def test_shared_prefix_is_fatal(tmp_path):
             load_corpus(tmp_path, manifest)
 
 
+@pytest.mark.parametrize("prefix", ["http://", "#top", "http:///x", "?q"])
+def test_prefix_without_host_is_fatal(tmp_path, prefix):
+    manifest = tmp_path / "manifest.csv"
+    with open(manifest, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["site_id", "label", "page_path", "url_prefixes"])
+        writer.writerow(["s1", "blog", "", "s1.org"])
+        writer.writerow(["s2", "press", "", f"s2.org|{prefix}"])
+    with pytest.raises(ManifestError, match=re.escape(f"row 3: prefix {prefix!r} has no host")):
+        load_corpus(tmp_path, manifest)
+
+
 def test_escaping_page_path_is_fatal(tmp_path):
     manifest = tmp_path / "manifest.csv"
     with open(manifest, "w", newline="", encoding="utf-8") as fh:

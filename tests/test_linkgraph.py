@@ -16,7 +16,6 @@ from comslice.linkgraph import (
     extract_all_links,
     extract_links,
     iter_hrefs,
-    link_noise,
     mutual_link_graph,
     write_gexf,
 )
@@ -139,19 +138,6 @@ link_lists = st.lists(
     ),
     max_size=60,
 )
-
-
-@given(link_lists)
-def test_link_noise_equals_crosstab_ratio(links):
-    rows = crosstab(links, LABELS)
-    inside = sum(r.inside for r in rows)
-    total = sum(r.inside + r.outside for r in rows)
-    noise = link_noise(links)
-    if total == 0:
-        assert noise == 0.0
-    else:
-        assert abs(noise - inside / total) < 1e-12
-    assert 0.0 <= noise <= 1.0
 
 
 SITES = [Site(site_id=s, label=s.upper(), url_prefixes=(f"{s}.org",)) for s in "abcd"]

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
@@ -24,7 +25,7 @@ NO_STOPWORDS: frozenset[str] = frozenset()
 
 
 def test_tags_become_separators():
-    assert tokenize(b"ab<br>cd", NO_STOPWORDS) == ["ab", "cd"]
+    assert tokenize(b"ab<br>cd", NO_STOPWORDS)[0] == ["ab", "cd"]
 
 
 def test_script_and_style_blocks_vanish():
@@ -32,23 +33,23 @@ def test_script_and_style_blocks_vanish():
         b"<p>garde</p><script type='x'>var secret = 1;</script>"
         b"<STYLE>body { color: red }</STYLE><p>aussi</p>"
     )
-    assert tokenize(raw, NO_STOPWORDS) == ["garde", "aussi"]
+    assert tokenize(raw, NO_STOPWORDS)[0] == ["garde", "aussi"]
 
 
 def test_unterminated_script_swallows_the_tail():
-    assert tokenize(b"<p>avant</p><script>var x = 'oops';", NO_STOPWORDS) == ["avant"]
+    assert tokenize(b"<p>avant</p><script>var x = 'oops';", NO_STOPWORDS)[0] == ["avant"]
 
 
 def test_lowercase_and_short_tokens_dropped():
-    assert tokenize(b"Grand A et Petit", NO_STOPWORDS) == ["grand", "et", "petit"]
+    assert tokenize(b"Grand A et Petit", NO_STOPWORDS)[0] == ["grand", "et", "petit"]
 
 
 def test_digits_and_underscores_break_tokens():
-    assert tokenize(b"abc123def mot_cle v2", NO_STOPWORDS) == ["abc", "def", "mot", "cle"]
+    assert tokenize(b"abc123def mot_cle v2", NO_STOPWORDS)[0] == ["abc", "def", "mot", "cle"]
 
 
 def test_accented_letters_are_kept():
-    assert tokenize("Santé publique à Genève".encode(), NO_STOPWORDS) == [
+    assert tokenize("Santé publique à Genève".encode(), NO_STOPWORDS)[0] == [
         "santé",
         "publique",
         "genève",
@@ -56,11 +57,11 @@ def test_accented_letters_are_kept():
 
 
 def test_entities_are_not_decoded():
-    assert tokenize(b"caf&eacute; &amp; th&eacute;", NO_STOPWORDS) == ["caf", "eacute", "amp", "th", "eacute"]
+    assert tokenize(b"caf&eacute; &amp; th&eacute;", NO_STOPWORDS)[0] == ["caf", "eacute", "amp", "th", "eacute"]
 
 
 def test_default_french_stopwords_apply():
-    assert tokenize(b"le vaccin et la peur sont dans les esprits") == [
+    assert tokenize(b"le vaccin et la peur sont dans les esprits")[0] == [
         "vaccin",
         "peur",
         "esprits",
@@ -68,19 +69,115 @@ def test_default_french_stopwords_apply():
 
 
 def test_bad_utf8_is_replaced_not_fatal():
-    assert tokenize(b"caf\xe9 noir", NO_STOPWORDS) == ["caf", "noir"]
+    assert tokenize(b"caf\xe9 noir", NO_STOPWORDS)[0] == ["caf", "noir"]
 
 
 def test_repeated_word_survives_case_and_stopwords():
-    assert tokenize(b"<p>Le vaccin, le VACCIN!</p>") == ["vaccin", "vaccin"]
+    assert tokenize(b"<p>Le vaccin, le VACCIN!</p>")[0] == ["vaccin", "vaccin"]
 
 
 def test_empty_input_tokenizes_to_nothing():
-    assert tokenize(b"") == []
+    assert tokenize(b"")[0] == []
 
 
 def test_pure_numbers_tokenize_to_nothing():
-    assert tokenize(b"<b>2017 2018</b>") == []
+    assert tokenize(b"<b>2017 2018</b>")[0] == []
+
+
+_REF_SCRIPT_STYLE_RE = re.compile(
+    r"<(script|style)\b[^>]*>.*?(?:</\1[^>]*>|\Z)", re.IGNORECASE | re.DOTALL
+)
+_REF_TAG_RE = re.compile(r"<[^>]*>")
+_REF_WORD_RE = re.compile(r"[^\W\d_]+")
+
+
+def reference_tokenize(data: bytes, stopwords: frozenset[str]) -> list[str]:
+    """Whole-page tokens, without offsets: each block or tag becomes one space."""
+    text = data.decode("utf-8", errors="replace")
+    text = _REF_SCRIPT_STYLE_RE.sub(" ", text)
+    text = _REF_TAG_RE.sub(" ", text)
+    return [
+        t for t in _REF_WORD_RE.findall(text.lower()) if len(t) >= 2 and t not in stopwords
+    ]
+
+
+# pieces that stress the tokenizer: tags, blocks (closed or not), letters that
+# change length or form when lowercased, invalid and cut UTF-8
+html_bytes = st.lists(
+    st.sampled_from(
+        [
+            b"<p>", b"</p>", b"<script>", b"</script>", b"<STYLE a>", b"</style>",
+            b"<", b">", b" ", b"ab", b"Mot", b"le", b"x1_", "é".encode(),
+            "İ".encode(), "Σ".encode(), "ΑΣ".encode(), b"\xe2\x82", b"\xff",
+            "€".encode(),
+        ]
+    )
+    | st.binary(max_size=6),
+    max_size=30,
+).map(b"".join)
+
+
+@st.composite
+def page_with_sections(draw):
+    data = draw(html_bytes)
+    bounds = sorted(draw(st.lists(st.integers(0, len(data)), max_size=6)))
+    sections = tuple((s, e) for s, e in zip(bounds[::2], bounds[1::2]) if s < e)
+    return data, sections
+
+
+@settings(max_examples=2000)
+@given(page_with_sections())
+def test_split_tokens_add_up_to_whole_page_tokens(page):
+    data, sections = page
+    stopwords = frozenset({"le"})
+    main, comment = tokenize(data, stopwords, sections)
+    assert Counter(main) + Counter(comment) == Counter(reference_tokenize(data, stopwords))
+    assert tokenize(data, stopwords) == (reference_tokenize(data, stopwords), [])
+
+
+# valid UTF-8 whose letters keep their length when lowercased, so a token's
+# start byte can be read off the decoded text
+utf8_html = st.lists(
+    st.sampled_from(["ab", " ", "é", "€", "Z", "<", ">", "/", "p", "1", "_", "<script>", "</script>"]),
+    max_size=30,
+).map(lambda parts: "".join(parts).encode())
+
+
+@given(utf8_html, st.lists(st.integers(0, 200), max_size=6))
+def test_token_goes_where_its_first_byte_lies(data, bounds):
+    bounds = sorted(b % (len(data) + 1) for b in bounds)
+    sections = tuple((s, e) for s, e in zip(bounds[::2], bounds[1::2]) if s < e)
+    page = SlicedPage(site_id="s", page_path="p", raw_bytes=data, section_spans=sections)
+    original = data.decode()
+    text = _REF_SCRIPT_STYLE_RE.sub(lambda m: " " * len(m.group()), original)
+    text = _REF_TAG_RE.sub(lambda m: " " * len(m.group()), text)
+    expected: tuple[list[str], list[str]] = ([], [])
+    for m in _REF_WORD_RE.finditer(text.lower()):
+        if len(m.group()) >= 2:
+            start = len(original[: m.start()].encode())
+            expected[page.in_comment_section(start)].append(m.group())
+    assert tokenize(data, NO_STOPWORDS, sections) == expected
+
+
+def test_removed_section_never_joins_words():
+    raw = b'<p>bonjour<div id="comments">salut<!-- END -->monde</p>'
+    section = (raw.index(b"<div"), raw.index(b"monde"))
+    assert tokenize(raw, NO_STOPWORDS, (section,)) == (["bonjour", "monde"], ["salut"])
+
+
+def test_section_inside_script_adds_no_tokens():
+    raw = b'<p>texte</p><script><div id="comments">cache<!-- END --></script><p>fin</p>'
+    section = (raw.index(b"<div"), raw.index(b"</script>"))
+    assert tokenize(raw, NO_STOPWORDS, (section,)) == (["texte", "fin"], [])
+
+
+def test_word_cut_by_a_section_boundary_stays_where_it_starts():
+    raw = b"avant parole suite"
+    assert tokenize(raw, NO_STOPWORDS, ((9, 15),)) == (["avant", "parole"], ["suite"])
+    assert tokenize(raw, NO_STOPWORDS, ((6, 9),)) == (["avant", "suite"], ["parole"])
+    # a cut inside a multi-byte character puts that character before the cut
+    raw = "été là".encode()
+    assert tokenize(raw, NO_STOPWORDS, ((1, len(raw)),)) == (["été"], ["là"])
 
 
 def test_load_stopwords_file(tmp_path):
@@ -103,10 +200,9 @@ def test_corpus_token_counts_with_and_without_comments():
         raw_bytes=raw,
         section_spans=((19, len(raw)),),
     )
-    with_comments = corpus_token_counts([page], include_comments=True, stopwords=NO_STOPWORDS)
-    without = corpus_token_counts([page], include_comments=False, stopwords=NO_STOPWORDS)
-    assert with_comments == Counter({"virus": 2, "article": 1, "un": 1, "parole": 1})
-    assert without == Counter({"article": 1, "un": 1})
+    main, comment = corpus_token_counts([page], NO_STOPWORDS)
+    assert main + comment == Counter({"virus": 2, "article": 1, "un": 1, "parole": 1})
+    assert main == Counter({"article": 1, "un": 1})
 
 
 def test_top_k_breaks_ties_alphabetically():
