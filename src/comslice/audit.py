@@ -151,7 +151,7 @@ def site_diagnostics(
         out.append(
             SiteDiagnostics(
                 site_id=site_id,
-                label=corpus.label_of(site_id),
+                label=corpus.labels[site_id],
                 pages=len(pages),
                 sections=sum(len(p.section_spans) for p in pages),
                 comment_bytes=sum(e - s for p in pages for s, e in p.section_spans),

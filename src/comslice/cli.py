@@ -37,7 +37,8 @@ from .slicer import (
     SlicedPage,
     build_error_report,
     precise_slice,
-    slice_corpus_parallel,
+    # the old name stays: perfbench/tracer.py patches comslice.cli.slice_corpus_parallel
+    slice_corpus as slice_corpus_parallel,
 )
 from .textstats import corpus_token_counts, load_stopwords, top_k
 
@@ -245,8 +246,7 @@ def _cmd_links(args: argparse.Namespace, out: Path) -> int:
 
 def _cmd_crosstab(args: argparse.Namespace, out: Path) -> int:
     corpus, _, _, links = _links_of(args)
-    labels = {site.site_id: site.label for site in corpus.registry}
-    rows = crosstab(links, labels)
+    rows = crosstab(links, corpus.labels)
     _write_csv(
         out / "crosstab.csv",
         ("src_label", "dst_label", "outside", "inside", "proportion"),
@@ -261,8 +261,7 @@ def _cmd_graph(args: argparse.Namespace, out: Path) -> int:
     graph = mutual_link_graph(
         links, corpus.registry, include_comments=args.include_comments
     )
-    labels = {site.site_id: site.label for site in corpus.registry}
-    write_gexf(graph, labels, out / "graph.gexf")
+    write_gexf(graph, corpus.labels, out / "graph.gexf")
     parts = components(graph)
     print(
         f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} mutual edges, "

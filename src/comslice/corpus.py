@@ -53,21 +53,24 @@ class Page:
 
 @dataclass
 class Corpus:
-    """An immutable snapshot: the site registry plus every loaded page."""
+    """An immutable snapshot: the site registry plus every loaded page.
+
+    ``labels`` maps each registered site_id to its label.
+    """
 
     registry: list[Site]
     pages: list[Page]
-    _by_id: dict[str, Site] = field(init=False, repr=False, compare=False)
+    labels: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_id: dict[str, Site] = {}
+        labels: dict[str, str] = {}
         for site in self.registry:
-            if site.site_id in by_id:
+            if site.site_id in labels:
                 raise ValueError(f"duplicate site_id in registry: {site.site_id}")
-            by_id[site.site_id] = site
+            labels[site.site_id] = site.label
         seen: set[tuple[str, str]] = set()
         for page in self.pages:
-            if page.site_id not in by_id:
+            if page.site_id not in labels:
                 raise ValueError(
                     f"page {page.page_path} references unknown site_id {page.site_id}"
                 )
@@ -75,10 +78,7 @@ class Corpus:
             if key in seen:
                 raise ValueError(f"duplicate page {key}")
             seen.add(key)
-        self._by_id = by_id
-
-    def label_of(self, site_id: str) -> str:
-        return self._by_id[site_id].label
+        self.labels = labels
 
 
 def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:

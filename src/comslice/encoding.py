@@ -15,7 +15,7 @@ import io
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Literal
+from typing import Literal
 
 from .errors import EncodingFileError, read_text
 
@@ -36,16 +36,6 @@ class Pattern:
         source = self.source.encode("utf-8")
         return re.compile(re.escape(source) if self.kind == "literal" else source)
 
-    def search(self, data: bytes, pos: int = 0) -> tuple[int, int] | None:
-        """First match at or after pos, as (start, end), or None."""
-        m = self.regex.search(data, pos)
-        return None if m is None else m.span()
-
-    def finditer(self, data: bytes) -> Iterator[tuple[int, int]]:
-        """All non-overlapping matches, left to right, always advancing."""
-        for m in self.regex.finditer(data):
-            yield m.span()
-
     def extract(self, data: bytes) -> bytes | None:
         """Pull one field value out of a comment fragment.
 
@@ -54,19 +44,16 @@ class Pattern:
         the marker up to the next ``<``. Values are stripped of ASCII
         whitespace; an empty result counts as absent.
         """
+        m = self.regex.search(data)
+        if m is None:
+            return None
         if self.kind == "regex":
-            m = self.regex.search(data)
-            if m is None:
-                return None
             value = m.group(1) if m.re.groups else m.group(0)
             if value is None:
                 return None
         else:
-            hit = self.search(data)
-            if hit is None:
-                return None
-            end = data.find(b"<", hit[1])
-            value = data[hit[1]:] if end == -1 else data[hit[1]:end]
+            end = data.find(b"<", m.end())
+            value = data[m.end():] if end == -1 else data[m.end():end]
         value = value.strip()
         return value or None
 

@@ -27,8 +27,6 @@ MISSING_CLOSURE = "missing_closure"
 MULTIPLE_OPENINGS = "multiple_openings"
 EXTRACTION_FAILURE = "extraction_failure"
 
-ERROR_KINDS = (MISSING_OPENING, MISSING_CLOSURE, MULTIPLE_OPENINGS, EXTRACTION_FAILURE)
-
 _DIGITS_RE = re.compile(rb"\d+")
 
 
@@ -146,18 +144,18 @@ def rough_slice(page: Page, rule: Rule) -> tuple[SlicedPage, list[SliceError]]:
     unclosed = False
     pos = 0
     while pos <= n:
-        hit = rule.open_pattern.search(data, pos)
+        hit = rule.open_pattern.regex.search(data, pos)
         if hit is None:
             break
-        open_start, open_end = hit
+        open_start, open_end = hit.span()
         if rule.close_pattern is None:
             end = n
         else:
-            closing = rule.close_pattern.search(data, open_end)
+            closing = rule.close_pattern.regex.search(data, open_end)
             if closing is None:
                 unclosed = True
                 break
-            end = closing[1]
+            end = closing.end()
         if end <= open_start:
             # zero-width pathology: force progress, never emit empty spans
             end = min(n, open_start + 1)
@@ -197,7 +195,7 @@ def split_section(section: bytes, rule: Rule) -> list[Span]:
             raise SectionAnomaly(
                 f"section is {len(section)} bytes, shorter than empty_size {rule.empty_size}"
             )
-    starts = [start for start, _ in rule.comment_pattern.finditer(section)]
+    starts = [m.start() for m in rule.comment_pattern.regex.finditer(section)]
     if not starts:
         if rule.empty_size is None:
             return []
@@ -269,51 +267,40 @@ def precise_slice(sliced: SlicedPage, rule: Rule) -> tuple[list[Comment], list[S
     return comments, errors
 
 
+def _slice_spans(task: tuple[Page, Rule]) -> tuple[tuple[Span, ...], list[SliceError]]:
+    sliced, errors = rough_slice(*task)
+    return sliced.section_spans, errors
+
+
 def slice_corpus(
-    corpus: Corpus, rules: dict[str, Rule]
+    corpus: Corpus, rules: dict[str, Rule], workers: int = 1
 ) -> tuple[list[SlicedPage], list[SliceError]]:
-    """Rough-slice every page of a corpus, in manifest order."""
-    for page in corpus.pages:
-        if page.site_id not in rules:
-            raise EncodingFileError(f"no slicing rule for site {page.site_id}")
-    sliced: list[SlicedPage] = []
-    errors: list[SliceError] = []
-    for page in corpus.pages:
-        one, errs = rough_slice(page, rules[page.site_id])
-        sliced.append(one)
-        errors.extend(errs)
-    return sliced, errors
+    """Rough-slice every page of a corpus, in manifest order.
 
-
-def _slice_task(task: tuple[Page, Rule]) -> tuple[SlicedPage, list[SliceError]]:
-    return rough_slice(*task)
-
-
-def slice_corpus_parallel(
-    corpus: Corpus, rules: dict[str, Rule], workers: int
-) -> tuple[list[SlicedPage], list[SliceError]]:
-    """Like slice_corpus but fanned out over worker processes.
-
-    Results keep manifest order regardless of worker count, so parallel
-    output is byte-identical to a serial run. The pool never holds more
-    processes than there are CPUs or pages.
+    With workers > 1 the pages are fanned out over worker processes that
+    send back only each page's section spans and errors; every SlicedPage
+    is built here around its own Page's bytes, so the result is identical
+    to a serial run. The pool never holds more processes than there are
+    CPUs or pages, and with one process left the pages are sliced here.
     """
-    workers = min(workers, os.cpu_count() or 1, len(corpus.pages))
-    if workers <= 1:
-        return slice_corpus(corpus, rules)
     for page in corpus.pages:
         if page.site_id not in rules:
             raise EncodingFileError(f"no slicing rule for site {page.site_id}")
-    from concurrent.futures import ProcessPoolExecutor
-
     tasks = [(page, rules[page.site_id]) for page in corpus.pages]
-    chunksize = max(1, len(tasks) // (workers * 4))
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        results = map(_slice_spans, tasks)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunksize = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_slice_spans, tasks, chunksize=chunksize))
     sliced: list[SlicedPage] = []
     errors: list[SliceError] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for one, errs in pool.map(_slice_task, tasks, chunksize=chunksize):
-            sliced.append(one)
-            errors.extend(errs)
+    for page, (spans, errs) in zip(corpus.pages, results):
+        sliced.append(SlicedPage(page.site_id, page.page_path, page.raw_bytes, spans))
+        errors.extend(errs)
     return sliced, errors
 
 
@@ -324,15 +311,10 @@ class ErrorReport:
     errors: list[SliceError]
     warnings: list[UniformSizeWarning]
 
-    def _counts(self) -> Counter[tuple[str, str]]:
-        return Counter((e.site_id, e.kind) for e in self.errors)
-
-    def count(self, site_id: str, kind: str) -> int:
-        return self._counts()[(site_id, kind)]
-
     def summary_rows(self) -> list[tuple[str, str, int]]:
         """(site_id, kind, count) rows, only non-zero, sorted for stable output."""
-        return [(site, kind, n) for (site, kind), n in sorted(self._counts().items())]
+        counts = Counter((e.site_id, e.kind) for e in self.errors)
+        return [(site, kind, n) for (site, kind), n in sorted(counts.items())]
 
     def detail_rows(self) -> list[tuple[str, str, str, str]]:
         return sorted((e.site_id, e.page_path, e.kind, e.detail) for e in self.errors)

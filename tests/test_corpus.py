@@ -25,7 +25,7 @@ def test_load_corpus_round_trip(tmp_path):
     )
     corpus = load_corpus(root, manifest)
     assert [s.site_id for s in corpus.registry] == ["s1"]
-    assert corpus.label_of("s1") == "blog"
+    assert corpus.labels == {"s1": "blog"}
     assert len(corpus.pages) == 1
     assert corpus.pages[0].raw_bytes == raw  # verbatim, no normalization
 

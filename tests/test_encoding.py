@@ -111,9 +111,13 @@ def test_duplicate_site_id_is_fatal(tmp_path):
 
 def test_literal_matching_is_case_sensitive_and_exact():
     pattern = Pattern("literal", "<Div>")
-    assert pattern.search(b"..<div>..<Div>..") == (9, 14)
-    assert pattern.search(b"<div>") is None
-    assert list(Pattern("literal", "aa").finditer(b"aaaa")) == [(0, 2), (2, 4)]
+    assert pattern.regex.search(b"..<div>..<Div>..").span() == (9, 14)
+    assert pattern.regex.search(b"<div>") is None
+    assert _spans(Pattern("literal", "aa"), b"aaaa") == [(0, 2), (2, 4)]
+
+
+def _spans(pattern: Pattern, data: bytes) -> list[tuple[int, int]]:
+    return [m.span() for m in pattern.regex.finditer(data)]
 
 
 def _find_all(needle: bytes, data: bytes) -> list[tuple[int, int]]:
@@ -138,15 +142,16 @@ def test_literal_matching_equals_bytes_find(needle, data, pos):
     raw = needle.encode("utf-8")
     pos = min(pos, len(data))
     start = data.find(raw, pos)
-    assert pattern.search(data, pos) == (None if start == -1 else (start, start + len(raw)))
-    assert list(pattern.finditer(data)) == _find_all(raw, data)
+    hit = pattern.regex.search(data, pos)
+    assert (None if hit is None else hit.span()) == (None if start == -1 else (start, start + len(raw)))
+    assert _spans(pattern, data) == _find_all(raw, data)
 
 
 def test_regex_matching():
     pattern = Pattern("regex", r"<h[12]>")
-    assert pattern.search(b"<h3><h2><h1>") == (4, 8)
-    assert pattern.search(b"<h3><h2><h1>", pos=5) == (8, 12)
-    assert list(pattern.finditer(b"<h1><h2>")) == [(0, 4), (4, 8)]
+    assert pattern.regex.search(b"<h3><h2><h1>").span() == (4, 8)
+    assert pattern.regex.search(b"<h3><h2><h1>", 5).span() == (8, 12)
+    assert _spans(pattern, b"<h1><h2>") == [(0, 4), (4, 8)]
 
 
 def test_extract_regex_group_one_when_present():

@@ -23,7 +23,6 @@ from comslice.slicer import (
     precise_slice,
     rough_slice,
     slice_corpus,
-    slice_corpus_parallel,
     split_section,
 )
 
@@ -334,8 +333,19 @@ def test_parallel_slicing_matches_serial():
     corpus = _corpus_with_pages(pages)
     rules = {"s1": make_rule()}
     serial = slice_corpus(corpus, rules)
-    parallel = slice_corpus_parallel(corpus, rules, workers=3)
+    parallel = slice_corpus(corpus, rules, workers=3)
     assert parallel == serial
+
+
+def test_pool_sends_back_spans_not_bytes(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    corpus = _corpus_with_pages(
+        {f"p{i}.html": page_bytes(fragments=[fragment(text=f"c{i}")] * (i % 3)) for i in range(8)}
+    )
+    sliced, _ = slice_corpus(corpus, {"s1": make_rule()}, workers=2)
+    assert len(sliced) == len(corpus.pages)
+    for one, page in zip(sliced, corpus.pages):
+        assert one.raw_bytes is page.raw_bytes
 
 
 def test_in_comment_section_offsets():
@@ -365,11 +375,12 @@ def test_error_report_counts_and_pages():
             "multi.html": OPEN + b"a" + CLOSE + OPEN + b"bc" + CLOSE,
         }
     )
-    assert report.count("s1", MISSING_OPENING) == 1
-    assert report.count("s1", MISSING_CLOSURE) == 1
-    assert report.count("s1", MULTIPLE_OPENINGS) == 1
+    assert report.summary_rows() == [
+        ("s1", MISSING_CLOSURE, 1),
+        ("s1", MISSING_OPENING, 1),
+        ("s1", MULTIPLE_OPENINGS, 1),
+    ]
     assert ("s1", "noopen.html", MISSING_OPENING, "") in report.detail_rows()
-    assert ("s1", MISSING_CLOSURE, 1) in report.summary_rows()
 
 
 def test_uniform_size_warning_fires_on_equal_sections():
@@ -436,5 +447,5 @@ def test_parallel_pool_is_capped(monkeypatch, workers, cpus, pages, pool_size):
         {f"p{i}.html": page_bytes(fragments=[fragment(text=f"c{i}")]) for i in range(pages)}
     )
     rules = {"s1": make_rule()}
-    assert slice_corpus_parallel(corpus, rules, workers=workers) == slice_corpus(corpus, rules)
+    assert slice_corpus(corpus, rules, workers=workers) == slice_corpus(corpus, rules)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
