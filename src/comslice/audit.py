@@ -108,7 +108,7 @@ def measure_noise(
     stopwords: frozenset[str] | None = None,
 ) -> NoiseMeasurement:
     """Measure the three noise metrics over already-sliced pages."""
-    links = extract_all_links(sliced_pages, corpus.registry)
+    links = extract_all_links(sliced_pages, corpus.site_index)
     countable = [l for l in links if not l.is_self]
     comment_links = sum(1 for l in countable if l.in_comment)
     main, comment = corpus_token_counts(sliced_pages, stopwords)

@@ -217,7 +217,7 @@ def _cmd_slice_precise(args: argparse.Namespace, out: Path) -> int:
 
 def _links_of(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule], list[SlicedPage], list[Link]]:
     corpus, rules, sliced, _ = _slice(args)
-    return corpus, rules, sliced, extract_all_links(sliced, corpus.registry)
+    return corpus, rules, sliced, extract_all_links(sliced, corpus.site_index)
 
 
 def _cmd_links(args: argparse.Namespace, out: Path) -> int:

@@ -17,7 +17,6 @@ import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Sequence
 
 from .errors import ManifestError, read_text
 
@@ -26,6 +25,9 @@ MANIFEST_COLUMNS = ("site_id", "label", "page_path", "url_prefixes")
 # a host with a numeric port and no scheme ("a.org:8080/x") is not scheme "a.org"
 _SCHEME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:(?!\d+(?:[/?\\]|$))")
 _HOST_END_RE = re.compile(r"[/?\\]")
+
+# host -> that host's (normalized prefix, site_id) pairs, longest prefix first
+SiteIndex = dict[str, tuple[tuple[str, str], ...]]
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ class Page:
 class Corpus:
     """An immutable snapshot: the site registry plus every loaded page.
 
-    ``labels`` maps each registered site_id to its label.
+    ``labels`` maps each registered site_id to its label; ``site_index``
+    is what ``resolve_url`` looks URLs up in.
     """
 
     registry: list[Site]
@@ -79,6 +82,23 @@ class Corpus:
                 raise ValueError(f"duplicate page {key}")
             seen.add(key)
         self.labels = labels
+
+    @functools.cached_property
+    def site_index(self) -> SiteIndex:
+        """Every normalized prefix, bucketed by its host, longest first.
+
+        The sort is stable, so a prefix two sites share (possible only in a
+        Corpus built directly) stays in registry order and the first
+        registered site wins.
+        """
+        buckets: dict[str, list[tuple[str, str]]] = {}
+        for site in self.registry:
+            for norm in site.normalized:
+                buckets.setdefault(_host_of(norm), []).append((norm, site.site_id))
+        return {
+            host: tuple(sorted(pairs, key=lambda pair: -len(pair[0])))
+            for host, pairs in buckets.items()
+        }
 
 
 def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
@@ -229,19 +249,21 @@ def normalize_url(url: str) -> str:
     return host + (rest or "/")
 
 
-def resolve_url(url: str, registry: Sequence[Site] | Iterable[Site]) -> str | None:
+def _host_of(normalized: str) -> str:
+    """The host of a normalize_url result: everything before its first ``/`` or ``?``."""
+    return normalized[: _HOST_END_RE.search(normalized).start()]
+
+
+def resolve_url(url: str, index: SiteIndex) -> str | None:
     """Resolve a URL to the site_id owning its longest matching prefix.
 
-    Returns None for URLs no registered site owns (external links).
-    Deterministic: the registry invariant forbids shared prefixes, and
-    among nested prefixes the longest wins.
+    ``index`` is ``Corpus.site_index``. A normalized prefix is its host
+    followed by ``/`` or ``?``, so only prefixes under the URL's own host
+    can match, and the first match in that longest-first bucket is the
+    longest. Returns None for URLs no registered site owns (external links).
     """
     target = normalize_url(url)
-    best_len = -1
-    best_site: str | None = None
-    for site in registry:
-        for norm in site.normalized:
-            if target.startswith(norm) and len(norm) > best_len:
-                best_len = len(norm)
-                best_site = site.site_id
-    return best_site
+    for prefix, site_id in index.get(_host_of(target), ()):
+        if target.startswith(prefix):
+            return site_id
+    return None

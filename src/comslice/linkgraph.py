@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Site, resolve_url
+from .corpus import Site, SiteIndex, resolve_url
 from .slicer import SlicedPage
 
 _HREF_RE = re.compile(
@@ -53,11 +53,14 @@ def iter_hrefs(data: bytes) -> Iterable[tuple[int, str]]:
         yield m.start(group), m.group(group).decode("utf-8", errors="replace")
 
 
-def extract_links(page: SlicedPage, registry: Sequence[Site]) -> list[Link]:
-    """The page's anchor hrefs that resolve to a registered site."""
+def extract_links(page: SlicedPage, index: SiteIndex) -> list[Link]:
+    """The page's anchor hrefs that resolve to a registered site.
+
+    ``index`` is ``Corpus.site_index``.
+    """
     links: list[Link] = []
     for offset, href in iter_hrefs(page.raw_bytes):
-        dst = resolve_url(href, registry)
+        dst = resolve_url(href, index)
         if dst is None:
             continue
         links.append(
@@ -73,10 +76,10 @@ def extract_links(page: SlicedPage, registry: Sequence[Site]) -> list[Link]:
     return links
 
 
-def extract_all_links(pages: Iterable[SlicedPage], registry: Sequence[Site]) -> list[Link]:
+def extract_all_links(pages: Iterable[SlicedPage], index: SiteIndex) -> list[Link]:
     links: list[Link] = []
     for page in pages:
-        links.extend(extract_links(page, registry))
+        links.extend(extract_links(page, index))
     return links
 
 

@@ -425,7 +425,7 @@ def test_criterion_7_audit_link_noise_matches_crosstab():
             assert result.sample_size == len(corpus.pages)
 
             sliced, _ = slice_corpus(corpus, rules)
-            links = extract_all_links(sliced, corpus.registry)
+            links = extract_all_links(sliced, corpus.site_index)
             labels = {site.site_id: site.label for site in corpus.registry}
             rows = crosstab(links, labels)
             inside = sum(r.inside for r in rows)

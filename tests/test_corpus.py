@@ -184,11 +184,14 @@ def test_normalize_url_idempotent(url):
     assert normalize_url(once) == once
 
 
-REGISTRY = [
-    Site(site_id="host", label="", url_prefixes=("example.org",)),
-    Site(site_id="blog", label="", url_prefixes=("example.org/blog",)),
-    Site(site_id="other", label="", url_prefixes=("other.net/a", "mirror.other.net")),
-]
+INDEX = Corpus(
+    registry=[
+        Site(site_id="host", label="", url_prefixes=("example.org",)),
+        Site(site_id="blog", label="", url_prefixes=("example.org/blog",)),
+        Site(site_id="other", label="", url_prefixes=("other.net/a", "mirror.other.net")),
+    ],
+    pages=[],
+).site_index
 
 
 @pytest.mark.parametrize(
@@ -213,18 +216,125 @@ REGISTRY = [
     ],
 )
 def test_resolve_url(url, expected):
-    assert resolve_url(url, REGISTRY) == expected
+    assert resolve_url(url, INDEX) == expected
 
 
 def test_resolve_url_is_deterministic():
     for _ in range(3):
-        assert resolve_url("http://example.org/blog/x", REGISTRY) == "blog"
+        assert resolve_url("http://example.org/blog/x", INDEX) == "blog"
 
 
 @given(st.text(min_size=1, max_size=40))
 def test_resolve_url_returns_registered_site_or_none(url):
-    result = resolve_url(url, REGISTRY)
+    result = resolve_url(url, INDEX)
     assert result in {None, "host", "blog", "other"}
+
+
+def reference_resolve(url: str, registry: list[Site]) -> str | None:
+    """Linear scan: the longest normalized prefix the URL starts with, first registered on ties."""
+    target = normalize_url(url)
+    best_len, best_site = -1, None
+    for site in registry:
+        for prefix in site.url_prefixes:
+            norm = normalize_url(prefix)
+            if target.startswith(norm) and len(norm) > best_len:
+                best_len, best_site = len(norm), site.site_id
+    return best_site
+
+
+def corpus_of(*prefixes: tuple[str, ...]) -> Corpus:
+    """A page-less corpus whose i-th site, ``s<i>``, owns the i-th prefix tuple."""
+    return Corpus(
+        registry=[Site(site_id=f"s{i}", label="", url_prefixes=p) for i, p in enumerate(prefixes)],
+        pages=[],
+    )
+
+
+# few hosts that nest as names (a.org, b.a.org, a.org.b) and as IPv6 literals,
+# written with the variants normalize_url folds away, so hosts collide often
+URL_HOSTS = st.sampled_from(["a.org", "b.a.org", "a.org.b", "[::1]", "[::1:2]", "10.0.0.1"])
+URL_PATHS = st.lists(st.sampled_from(["/", "/x", "/x/", "/xy", "/X", "\\x"]), max_size=3).map("".join)
+URL_QUERIES = st.sampled_from(["", "?", "?page_id=3", "?page_id=33", "?p=1&q"])
+
+
+@st.composite
+def urls(draw) -> str:
+    host = draw(URL_HOSTS)
+    if not host.startswith("["):
+        host = draw(st.sampled_from(["", "www.", "WWW."])) + host + draw(st.sampled_from(["", "."]))
+        host = host.upper() if draw(st.booleans()) else host
+    start = draw(st.sampled_from(["", "http://", "HTTPS://", "//"]))
+    if start:
+        host = draw(st.sampled_from(["", "user@", "u:pw@"])) + host
+    port = draw(st.sampled_from(["", ":80", ":8080"]))
+    return start + host + port + draw(URL_PATHS) + draw(URL_QUERIES) + draw(st.sampled_from(["", "#f"]))
+
+
+@given(
+    st.lists(st.lists(urls(), min_size=1, max_size=3).map(tuple), min_size=1, max_size=6),
+    st.lists(urls() | st.text(max_size=20), min_size=1, max_size=10),
+)
+@example([("a.org?page_id=3",), ("a.org",)], ["http://a.org?page_id=33", "a.org/?page_id=3"])
+@example([("[::1]",), ("http://[::1]:8080/x",)], ["//[::1]/x/y", "[::1:2]/x"])
+@example([("a.org/x",), ("http://user@WWW.A.org.:80/x",)], ["a.org/x/y"])
+def test_indexed_resolution_matches_linear_scan(prefixes, targets):
+    corpus = corpus_of(*prefixes)
+    for url in targets:
+        assert resolve_url(url, corpus.site_index) == reference_resolve(url, corpus.registry)
+
+
+def test_prefix_shared_by_two_sites_goes_to_the_first_registered():
+    # load_corpus rejects a shared prefix; a Corpus built directly keeps registry order
+    url = "https://a.org/x/y"
+    assert resolve_url(url, corpus_of(("a.org/x",), ("http://www.A.org/x",)).site_index) == "s0"
+    assert resolve_url(url, corpus_of(("a.org",), ("a.org/x",), ("A.org/x",)).site_index) == "s1"
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+@pytest.mark.parametrize(
+    ("url", "owner"),
+    [
+        ("http://a.org/", "a.org"),
+        ("http://a.org/blog", "a.org/blog"),
+        ("http://a.org/blog/2021/post", "a.org/blog/2021"),
+        ("http://a.org/blog/2020", "a.org/blog"),
+    ],
+)
+def test_longest_of_three_nested_prefixes_wins(order, url, owner):
+    nested = ["a.org", "a.org/blog", "a.org/blog/2021"]
+    corpus = corpus_of(*((nested[i],) for i in order))
+    assert resolve_url(url, corpus.site_index) == f"s{order.index(nested.index(owner))}"
+
+
+@pytest.mark.parametrize(
+    ("prefixes", "url", "expected"),
+    [
+        (("a.org", "blog.a.org"), "http://blog.a.org/x", "s1"),
+        (("a.org", "blog.a.org"), "http://a.org/x", "s0"),
+        (("a.org", "blog.a.org"), "http://www.blog.a.org/", "s1"),
+        (("a.org", "blog.a.org"), "http://news.blog.a.org/", None),  # a subdomain is another host
+        (("a.org",), "http://blog.a.org/x", None),
+    ],
+)
+def test_subdomain_lands_in_its_own_bucket(prefixes, url, expected):
+    corpus = corpus_of(*((prefix,) for prefix in prefixes))
+    assert set(corpus.site_index) == set(prefixes)
+    assert resolve_url(url, corpus.site_index) == expected
+
+
+@pytest.mark.parametrize(
+    ("url", "expected"),
+    [
+        ("http://a.org/page", "s0"),  # same path, no query
+        ("http://a.org/page?id=3", "s1"),
+        ("http://a.org/page?id=31", "s1"),  # a prefix match, as for paths
+        ("http://a.org/page?id=4", "s0"),
+        ("http://a.org/page/?id=3", "s0"),
+    ],
+)
+def test_query_string_prefix_needs_the_query(url, expected):
+    corpus = corpus_of(("a.org",), ("a.org/page?id=3",))
+    assert resolve_url(url, corpus.site_index) == expected
 
 
 def test_manifest_with_utf8_bom_loads(tmp_path):

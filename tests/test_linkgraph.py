@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comslice.corpus import Site
+from comslice.corpus import Corpus, Site
 from comslice.linkgraph import (
     Link,
     MutualGraph,
@@ -28,10 +28,13 @@ def sliced_single(raw: bytes, sections=()) -> SlicedPage:
     return SlicedPage(site_id="src", page_path="p.html", raw_bytes=raw, section_spans=tuple(sections))
 
 
-REGISTRY = [
-    Site(site_id="src", label="blog", url_prefixes=("src.org",)),
-    Site(site_id="dst", label="press", url_prefixes=("dst.org",)),
-]
+INDEX = Corpus(
+    registry=[
+        Site(site_id="src", label="blog", url_prefixes=("src.org",)),
+        Site(site_id="dst", label="press", url_prefixes=("dst.org",)),
+    ],
+    pages=[],
+).site_index
 
 
 @pytest.mark.parametrize(
@@ -46,20 +49,20 @@ REGISTRY = [
     ],
 )
 def test_href_syntaxes(anchor, href):
-    links = extract_links(sliced_single(b"pre " + anchor + b" post"), REGISTRY)
+    links = extract_links(sliced_single(b"pre " + anchor + b" post"), INDEX)
     assert [l.href for l in links] == [href]
     assert links[0].dst_site_id == "dst"
 
 
 def test_offset_points_at_href_value():
     raw = b'zz<a href="http://dst.org/q">x</a>'
-    (link,) = extract_links(sliced_single(raw), REGISTRY)
+    (link,) = extract_links(sliced_single(raw), INDEX)
     assert raw[link.offset:link.offset + len(link.href)] == link.href.encode()
 
 
 def test_non_anchor_hrefs_are_ignored():
     raw = b'<link href="http://dst.org/style.css"><area href="http://dst.org/">'
-    assert extract_links(sliced_single(raw), REGISTRY) == []
+    assert extract_links(sliced_single(raw), INDEX) == []
 
 
 def test_iter_hrefs_lists_every_anchor():
@@ -72,7 +75,7 @@ def test_location_follows_sections():
     outside = b'<a href="http://dst.org/out">o</a>'
     raw = outside + OPEN + inside + CLOSE
     page = sliced_single(raw, sections=[(len(outside), len(raw))])
-    links = extract_links(page, REGISTRY)
+    links = extract_links(page, INDEX)
     assert [(l.href, l.in_comment) for l in links] == [
         ("http://dst.org/out", False),
         ("http://dst.org/in", True),
@@ -81,7 +84,7 @@ def test_location_follows_sections():
 
 def test_external_hrefs_yield_no_links():
     raw = b'<a href="http://alien.net/">a</a><a href="http://src.org/self">s</a>'
-    links = extract_links(sliced_single(raw), REGISTRY)
+    links = extract_links(sliced_single(raw), INDEX)
     # the alien anchor is visible to iter_hrefs but produces no edge
     assert len(list(iter_hrefs(raw))) == 2
     assert [(l.dst_site_id, l.is_self) for l in links] == [("src", True)]
@@ -89,7 +92,7 @@ def test_external_hrefs_yield_no_links():
 
 def test_page_with_only_external_links_is_empty():
     raw = b'<a href="mailto:x@y.z">m</a><a href="http://nowhere.net/">n</a>'
-    assert extract_links(sliced_single(raw), REGISTRY) == []
+    assert extract_links(sliced_single(raw), INDEX) == []
 
 
 def mk_link(src: str, dst: str, in_comment: bool = False) -> Link:
@@ -197,7 +200,7 @@ def test_gexf_round_trips_through_networkx(tmp_path):
 def test_extract_all_links_on_real_corpus(two_site_corpus):
     sliced, errors = slice_corpus(two_site_corpus, {"alpha": make_rule(), "beta": make_rule()})
     assert errors == []
-    links = extract_all_links(sliced, two_site_corpus.registry)
+    links = extract_all_links(sliced, two_site_corpus.site_index)
     by_page = {}
     for link in links:
         by_page.setdefault(link.page_path, []).append(link)
