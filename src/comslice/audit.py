@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
-from .corpus import Corpus, Page
+from .corpus import Corpus, Page, SiteIndex
 from .encoding import Rule
 from .errors import ComsliceError
 from .linkgraph import extract_all_links
@@ -22,13 +22,29 @@ from .slicer import SlicedPage, SliceError, precise_slice, slice_corpus
 from .textstats import corpus_token_counts, jsd, tokenize
 
 
+def _cutoff(option: str, line: str):
+    """A Thresholds field: 0.05 unless ``--threshold-<option>`` says otherwise."""
+    return field(default=0.05, metadata={"option": option, "line": line})
+
+
 @dataclass(frozen=True)
 class Thresholds:
-    """Per-metric cutoffs; a metric must strictly exceed its cutoff to matter."""
+    """Per-metric cutoffs, each named after the NoiseMeasurement field it bounds.
 
-    link: float = 0.05
-    token: float = 0.05
-    divergence: float = 0.05
+    A metric must strictly exceed its cutoff to matter. Each field's audit.txt
+    line is formatted with its value, its cutoff and the measurement's fields.
+    """
+
+    link_noise: float = _cutoff(
+        "link",
+        "{value:.4f} (threshold {cutoff}) "
+        "[{comment_links}/{countable_links} site-to-site links in comments]",
+    )
+    token_noise: float = _cutoff(
+        "token",
+        "{value:.4f} (threshold {cutoff}) [{section_tokens} comment tokens vs {main_tokens} main tokens]",
+    )
+    text_divergence: float = _cutoff("divergence", "{value:.4f} bits (threshold {cutoff})")
 
 
 @dataclass(frozen=True)
@@ -59,22 +75,24 @@ class SiteDiagnostics:
 
 
 @dataclass(frozen=True)
-class Decision:
-    should_slice: bool
-    exceeded: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class AuditResult:
     sample_size: int
     measurement: NoiseMeasurement
     thresholds: Thresholds
-    decision: Decision
     sites: tuple[SiteDiagnostics, ...]
     errors: tuple[SliceError, ...]
 
+    @property
+    def exceeded(self) -> tuple[str, ...]:
+        """The metrics strictly above their thresholds, in field order; any one means slice."""
+        return tuple(
+            f.name
+            for f in fields(Thresholds)
+            if getattr(self.measurement, f.name) > getattr(self.thresholds, f.name)
+        )
 
-def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
+
+def sample_corpus(pages: list[Page], n: int, seed: int) -> list[Page]:
     """Draw a reproducible sample of up to n pages, spread across sites.
 
     Each site's pages are shuffled with the seeded generator, then sites
@@ -84,14 +102,14 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
     """
     rng = random.Random(seed)
     per_site: dict[str, list[Page]] = {}
-    for page in corpus.pages:
+    for page in pages:
         per_site.setdefault(page.site_id, []).append(page)
     queues = []
     for site_id in sorted(per_site):
-        pages = sorted(per_site[site_id], key=lambda p: p.page_path)
-        rng.shuffle(pages)
-        queues.append(pages)
-    target = min(n, len(corpus.pages))
+        queue = sorted(per_site[site_id], key=lambda p: p.page_path)
+        rng.shuffle(queue)
+        queues.append(queue)
+    target = min(n, len(pages))
     picked: list[Page] = []
     depth = 0
     while len(picked) < target:
@@ -99,16 +117,19 @@ def sample_corpus(corpus: Corpus, n: int, seed: int) -> Corpus:
             if depth < len(queue) and len(picked) < target:
                 picked.append(queue[depth])
         depth += 1
-    return Corpus(registry=list(corpus.registry), pages=picked)
+    return picked
 
 
 def measure_noise(
     sliced_pages: list[SlicedPage],
-    corpus: Corpus,
+    index: SiteIndex,
     stopwords: frozenset[str] | None = None,
 ) -> NoiseMeasurement:
-    """Measure the three noise metrics over already-sliced pages."""
-    links = extract_all_links(sliced_pages, corpus.site_index)
+    """Measure the three noise metrics over already-sliced pages.
+
+    ``index`` is ``Corpus.site_index``.
+    """
+    links = extract_all_links(sliced_pages, index)
     countable = [l for l in links if not l.is_self]
     comment_links = sum(1 for l in countable if l.in_comment)
     main, comment = corpus_token_counts(sliced_pages, stopwords)
@@ -128,9 +149,12 @@ def measure_noise(
 
 
 def site_diagnostics(
-    sliced_pages: list[SlicedPage], corpus: Corpus, rules: dict[str, Rule]
+    sliced_pages: list[SlicedPage], labels: dict[str, str], rules: dict[str, Rule]
 ) -> list[SiteDiagnostics]:
-    """Summarize the slicing footprint per site, sorted by site_id."""
+    """Summarize the slicing footprint per site, sorted by site_id.
+
+    ``labels`` maps each site_id to its label (``Corpus.labels``).
+    """
     by_site: dict[str, list[SlicedPage]] = {}
     for page in sliced_pages:
         by_site.setdefault(page.site_id, []).append(page)
@@ -151,7 +175,7 @@ def site_diagnostics(
         out.append(
             SiteDiagnostics(
                 site_id=site_id,
-                label=corpus.labels[site_id],
+                label=labels[site_id],
                 pages=len(pages),
                 sections=sum(len(p.section_spans) for p in pages),
                 comment_bytes=sum(e - s for p in pages for s, e in p.section_spans),
@@ -163,18 +187,6 @@ def site_diagnostics(
     return out
 
 
-def decide(measurement: NoiseMeasurement, thresholds: Thresholds) -> Decision:
-    """Slice when any metric strictly exceeds its threshold."""
-    exceeded = []
-    if measurement.link_noise > thresholds.link:
-        exceeded.append("link_noise")
-    if measurement.token_noise > thresholds.token:
-        exceeded.append("token_noise")
-    if measurement.text_divergence > thresholds.divergence:
-        exceeded.append("text_divergence")
-    return Decision(should_slice=bool(exceeded), exceeded=tuple(exceeded))
-
-
 def run_audit(
     corpus: Corpus,
     rules: dict[str, Rule],
@@ -184,39 +196,32 @@ def run_audit(
     thresholds: Thresholds | None = None,
     stopwords: frozenset[str] | None = None,
 ) -> AuditResult:
-    """Sample, slice, measure and decide in one pass."""
-    thresholds = thresholds or Thresholds()
-    sample = sample_corpus(corpus, sample_n, seed)
-    if not sample.pages:
+    """Sample, slice and measure in one in-process pass."""
+    sample = sample_corpus(corpus.pages, sample_n, seed)
+    if not sample:
         raise ComsliceError("audit sample is empty: the corpus has no pages")
     sliced, errors = slice_corpus(sample, rules)
-    measurement = measure_noise(sliced, sample, stopwords)
     return AuditResult(
-        sample_size=len(sample.pages),
-        measurement=measurement,
-        thresholds=thresholds,
-        decision=decide(measurement, thresholds),
-        sites=tuple(site_diagnostics(sliced, sample, rules)),
+        sample_size=len(sample),
+        measurement=measure_noise(sliced, corpus.site_index, stopwords),
+        thresholds=thresholds or Thresholds(),
+        sites=tuple(site_diagnostics(sliced, corpus.labels, rules)),
         errors=tuple(errors),
     )
 
 
 def format_report(result: AuditResult) -> str:
     """Human-readable audit summary (the content of audit.txt)."""
-    m, t = result.measurement, result.thresholds
-    lines = [
-        f"pages sampled: {result.sample_size}",
-        f"link_noise: {m.link_noise:.4f} (threshold {t.link}) "
-        f"[{m.comment_links}/{m.countable_links} site-to-site links in comments]",
-        f"token_noise: {m.token_noise:.4f} (threshold {t.token}) "
-        f"[{m.section_tokens} comment tokens vs {m.main_tokens} main tokens]",
-        f"text_divergence: {m.text_divergence:.4f} bits (threshold {t.divergence})",
-        "",
-    ]
-    if result.decision.should_slice:
-        lines.append(
-            "decision: SLICE (exceeded: " + ", ".join(result.decision.exceeded) + ")"
+    m = result.measurement
+    lines = [f"pages sampled: {result.sample_size}"]
+    for f in fields(Thresholds):
+        line = f.metadata["line"].format(
+            value=getattr(m, f.name), cutoff=getattr(result.thresholds, f.name), **vars(m)
         )
+        lines.append(f"{f.name}: {line}")
+    lines.append("")
+    if result.exceeded:
+        lines.append("decision: SLICE (exceeded: " + ", ".join(result.exceeded) + ")")
     else:
         lines.append("decision: KEEP AS-IS (no metric exceeded its threshold)")
     if result.errors:

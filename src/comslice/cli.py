@@ -75,7 +75,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive_int,
         default=1,
-        help="worker processes for slicing (default: 1)",
+        help="worker processes for slicing (default: 1); audit slices its sample in-process",
     )
 
 
@@ -120,9 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample-n", type=_positive_int, default=100, help="pages to sample (default: 100)"
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
-    p.add_argument("--threshold-link", type=_fraction, default=0.05)
-    p.add_argument("--threshold-token", type=_fraction, default=0.05)
-    p.add_argument("--threshold-divergence", type=_fraction, default=0.05)
+    for f in fields(audit_mod.Thresholds):
+        p.add_argument(
+            f"--threshold-{f.metadata['option']}",
+            dest=f.name,
+            type=_fraction,
+            default=f.default,
+            help=f"slice when {f.name} exceeds this (default: {f.default})",
+        )
     p.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
 
     return parser
@@ -136,7 +141,7 @@ def _load(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule]]:
 
 def _slice(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule], list[SlicedPage], list]:
     corpus, rules = _load(args)
-    sliced, errors = slice_corpus_parallel(corpus, rules, workers=args.workers)
+    sliced, errors = slice_corpus_parallel(corpus.pages, rules, workers=args.workers)
     return corpus, rules, sliced, errors
 
 
@@ -258,9 +263,7 @@ def _cmd_crosstab(args: argparse.Namespace, out: Path) -> int:
 
 def _cmd_graph(args: argparse.Namespace, out: Path) -> int:
     corpus, _, _, links = _links_of(args)
-    graph = mutual_link_graph(
-        links, corpus.registry, include_comments=args.include_comments
-    )
+    graph = mutual_link_graph(links, corpus.labels, include_comments=args.include_comments)
     write_gexf(graph, corpus.labels, out / "graph.gexf")
     parts = components(graph)
     print(
@@ -271,7 +274,7 @@ def _cmd_graph(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_tokens(args: argparse.Namespace, out: Path) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+    stopwords = load_stopwords(args.stopwords)
     _, _, sliced, _ = _slice(args)
     without, comment = corpus_token_counts(sliced, stopwords)
     with_comments = without + comment
@@ -286,35 +289,26 @@ def _cmd_tokens(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+    stopwords = load_stopwords(args.stopwords)
     corpus, rules = _load(args)
-    thresholds = audit_mod.Thresholds(
-        link=args.threshold_link,
-        token=args.threshold_token,
-        divergence=args.threshold_divergence,
-    )
+    metrics = [f.name for f in fields(audit_mod.Thresholds)]
     result = audit_mod.run_audit(
         corpus,
         rules,
         sample_n=args.sample_n,
         seed=args.seed,
-        thresholds=thresholds,
+        thresholds=audit_mod.Thresholds(**{name: getattr(args, name) for name in metrics}),
         stopwords=stopwords,
     )
     report = audit_mod.format_report(result)
     (out / "audit.txt").write_text(report, encoding="utf-8")
     m, t = result.measurement, result.thresholds
-    metrics = (
-        ("link_noise", m.link_noise, t.link),
-        ("token_noise", m.token_noise, t.token),
-        ("text_divergence", m.text_divergence, t.divergence),
-    )
     _write_csv(
         out / "audit.csv",
         ("metric", "value", "threshold", "exceeded"),
         (
-            (name, repr(v), repr(cutoff), "true" if name in result.decision.exceeded else "false")
-            for name, v, cutoff in metrics
+            (name, repr(getattr(m, name)), repr(getattr(t, name)), str(name in result.exceeded).lower())
+            for name in metrics
         ),
     )
     _write_csv(

@@ -14,9 +14,9 @@ import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .corpus import Site, SiteIndex, resolve_url
+from .corpus import SiteIndex, resolve_url
 from .slicer import SlicedPage
 
 _HREF_RE = re.compile(
@@ -49,8 +49,8 @@ class Link:
 def iter_hrefs(data: bytes) -> Iterable[tuple[int, str]]:
     """Every anchor href value in the page, as (byte offset, decoded value)."""
     for m in _HREF_RE.finditer(data):
-        group = next(i for i in (1, 2, 3) if m.group(i) is not None)
-        yield m.start(group), m.group(group).decode("utf-8", errors="replace")
+        # the three quoting styles are alternatives: exactly one group takes part
+        yield m.start(m.lastindex), m.group(m.lastindex).decode("utf-8", errors="replace")
 
 
 def extract_links(page: SlicedPage, index: SiteIndex) -> list[Link]:
@@ -135,9 +135,12 @@ class MutualGraph:
 
 
 def mutual_link_graph(
-    links: Iterable[Link], registry: Sequence[Site], *, include_comments: bool = True
+    links: Iterable[Link], labels: dict[str, str], *, include_comments: bool = True
 ) -> MutualGraph:
-    """Build the mutual-link graph, optionally ignoring comment-located links."""
+    """Build the mutual-link graph, optionally ignoring comment-located links.
+
+    ``labels`` is ``Corpus.labels``: its keys, the registered site_ids, are the nodes.
+    """
     directed: set[tuple[str, str]] = set()
     for link in _countable(links):
         if not include_comments and link.in_comment:
@@ -149,7 +152,7 @@ def mutual_link_graph(
         if (b, a) in directed
     }
     return MutualGraph(
-        nodes=tuple(sorted(site.site_id for site in registry)),
+        nodes=tuple(sorted(labels)),
         edges=frozenset(edges),
     )
 

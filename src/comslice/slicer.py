@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Corpus, Page
+from .corpus import Page
 from .encoding import Rule
 from .errors import EncodingFileError
 
@@ -273,9 +273,9 @@ def _slice_spans(task: tuple[Page, Rule]) -> tuple[tuple[Span, ...], list[SliceE
 
 
 def slice_corpus(
-    corpus: Corpus, rules: dict[str, Rule], workers: int = 1
+    pages: list[Page], rules: dict[str, Rule], workers: int = 1
 ) -> tuple[list[SlicedPage], list[SliceError]]:
-    """Rough-slice every page of a corpus, in manifest order.
+    """Rough-slice every page, in the given order (a Corpus's is manifest order).
 
     With workers > 1 the pages are fanned out over worker processes that
     send back only each page's section spans and errors; every SlicedPage
@@ -283,10 +283,10 @@ def slice_corpus(
     to a serial run. The pool never holds more processes than there are
     CPUs or pages, and with one process left the pages are sliced here.
     """
-    for page in corpus.pages:
+    for page in pages:
         if page.site_id not in rules:
             raise EncodingFileError(f"no slicing rule for site {page.site_id}")
-    tasks = [(page, rules[page.site_id]) for page in corpus.pages]
+    tasks = [(page, rules[page.site_id]) for page in pages]
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         results = map(_slice_spans, tasks)
@@ -298,7 +298,7 @@ def slice_corpus(
             results = list(pool.map(_slice_spans, tasks, chunksize=chunksize))
     sliced: list[SlicedPage] = []
     errors: list[SliceError] = []
-    for page, (spans, errs) in zip(corpus.pages, results):
+    for page, (spans, errs) in zip(pages, results):
         sliced.append(SlicedPage(page.site_id, page.page_path, page.raw_bytes, spans))
         errors.extend(errs)
     return sliced, errors

@@ -9,6 +9,7 @@ by the byte where it starts, so the two parts add up to the whole page.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -25,8 +26,6 @@ _SCRIPT_STYLE_RE = re.compile(
 )
 _TAG_RE = re.compile(r"<[^>]*>")
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
-
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -50,11 +49,9 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
+@functools.cache
 def default_stopwords() -> frozenset[str]:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = load_stopwords()
-    return _DEFAULT_STOPWORDS
+    return load_stopwords()
 
 
 def _blank(match: re.Match[str]) -> str:

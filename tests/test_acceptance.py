@@ -18,7 +18,7 @@ import pytest
 
 from comslice.audit import run_audit
 from comslice.cli import run
-from comslice.corpus import Page, Site, load_corpus
+from comslice.corpus import Page, load_corpus
 from comslice.encoding import Pattern, write_encoding_file
 from comslice.linkgraph import (
     Link,
@@ -192,7 +192,7 @@ def _single_site_report(pages: dict[str, bytes], rule=None):
     corpus = corpus_in_memory(
         sites={"s1": ("blog", ["s1.org"])}, pages={("s1", p): b for p, b in pages.items()}
     )
-    sliced, errors = slice_corpus(corpus, {"s1": rule})
+    sliced, errors = slice_corpus(corpus.pages, {"s1": rule})
     return build_error_report(sliced, errors, {"s1": rule})
 
 
@@ -226,8 +226,7 @@ def test_criterion_3_error_report_classes():
 
 def test_criterion_4_comment_links_bridge_components():
     with criterion(4, "comment-only bridge merges components; dropping comments is monotone"):
-        sites = [Site(site_id=s, label="core" if s in "ab" else "fringe", url_prefixes=(f"{s}.org",))
-                 for s in "abcd"]
+        labels = {s: "core" if s in "ab" else "fringe" for s in "abcd"}
         links = [
             synthetic_link("a", "b", False),
             synthetic_link("b", "a", False),
@@ -236,22 +235,22 @@ def test_criterion_4_comment_links_bridge_components():
             synthetic_link("b", "c", True),  # the only bridge, comment-located
             synthetic_link("c", "b", True),
         ]
-        merged = components(mutual_link_graph(links, sites, include_comments=True))
-        split = components(mutual_link_graph(links, sites, include_comments=False))
+        merged = components(mutual_link_graph(links, labels, include_comments=True))
+        split = components(mutual_link_graph(links, labels, include_comments=False))
         assert len(merged) == 1
         assert len(split) >= 2
         assert ["a", "b"] in split and ["c", "d"] in split
 
         rng = random.Random(41)
-        site_ids = [s.site_id for s in sites] + ["e", "f"]
-        all_sites = [Site(site_id=s, label="", url_prefixes=(f"{s}.org",)) for s in site_ids]
+        site_ids = [*labels, "e", "f"]
+        all_labels = dict.fromkeys(site_ids, "")
         for _ in range(120):
             sample = [
                 synthetic_link(rng.choice(site_ids), rng.choice(site_ids), rng.random() < 0.5)
                 for _ in range(rng.randint(0, 30))
             ]
-            with_graph = mutual_link_graph(sample, all_sites, include_comments=True)
-            without_graph = mutual_link_graph(sample, all_sites, include_comments=False)
+            with_graph = mutual_link_graph(sample, all_labels, include_comments=True)
+            without_graph = mutual_link_graph(sample, all_labels, include_comments=False)
             assert without_graph.edges <= with_graph.edges
             assert len(components(without_graph)) >= len(components(with_graph))
 
@@ -271,7 +270,7 @@ def test_criterion_5_spam_tokens_confined_to_comments():
                 fragments=[fragment(text=spam_words)],
             )
         corpus = corpus_in_memory(sites={"s1": ("blog", ["s1.org"])}, pages=pages)
-        sliced, errors = slice_corpus(corpus, {"s1": make_rule()})
+        sliced, errors = slice_corpus(corpus.pages, {"s1": make_rule()})
         assert errors == []
 
         without, comment = corpus_token_counts(sliced)
@@ -424,7 +423,7 @@ def test_criterion_7_audit_link_noise_matches_crosstab():
             result = run_audit(corpus, rules, sample_n=10_000, seed=trial)
             assert result.sample_size == len(corpus.pages)
 
-            sliced, _ = slice_corpus(corpus, rules)
+            sliced, _ = slice_corpus(corpus.pages, rules)
             links = extract_all_links(sliced, corpus.site_index)
             labels = {site.site_id: site.label for site in corpus.registry}
             rows = crosstab(links, labels)

@@ -10,15 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comslice.audit import (
+    AuditResult,
     NoiseMeasurement,
     Thresholds,
-    decide,
     format_report,
     measure_noise,
     run_audit,
     sample_corpus,
     site_diagnostics,
 )
+from comslice.corpus import Corpus
 from comslice.errors import ComsliceError
 from comslice.slicer import slice_corpus
 
@@ -38,26 +39,25 @@ def many_pages_corpus():
 
 def test_sample_is_deterministic_per_seed():
     corpus = many_pages_corpus()
-    first = sample_corpus(corpus, 5, seed=7)
-    second = sample_corpus(corpus, 5, seed=7)
-    assert [p.page_path for p in first.pages] == [p.page_path for p in second.pages]
-    other = sample_corpus(corpus, 5, seed=8)
-    assert {p.page_path for p in other.pages} != set()  # valid sample either way
+    first = sample_corpus(corpus.pages, 5, seed=7)
+    second = sample_corpus(corpus.pages, 5, seed=7)
+    assert [p.page_path for p in first] == [p.page_path for p in second]
+    other = sample_corpus(corpus.pages, 5, seed=8)
+    assert {p.page_path for p in other} != set()  # valid sample either way
 
 
 def test_sample_spreads_round_robin_across_sites():
-    sample = sample_corpus(many_pages_corpus(), 6, seed=0)
+    sample = sample_corpus(many_pages_corpus().pages, 6, seed=0)
     by_site = {"a": 0, "b": 0}
-    for page in sample.pages:
+    for page in sample:
         by_site[page.site_id] += 1
     assert by_site == {"a": 4, "b": 2}  # small site fully drained, big site fills up
 
 
 def test_sample_caps_at_corpus_size():
     corpus = many_pages_corpus()
-    sample = sample_corpus(corpus, 10_000, seed=0)
-    assert len(sample.pages) == len(corpus.pages)
-    assert sample.registry == corpus.registry
+    sample = sample_corpus(corpus.pages, 10_000, seed=0)
+    assert sorted(sample, key=lambda p: p.page_path) == corpus.pages
 
 
 def noise_fixture():
@@ -84,9 +84,9 @@ def noise_fixture():
 
 def test_measure_noise_counts_links_and_tokens():
     corpus, rules = noise_fixture()
-    sliced, errors = slice_corpus(corpus, rules)
+    sliced, errors = slice_corpus(corpus.pages, rules)
     assert errors == []
-    m = measure_noise(sliced, corpus, stopwords=NO_STOPWORDS)
+    m = measure_noise(sliced, corpus.site_index, stopwords=NO_STOPWORDS)
     assert m.countable_links == 2 and m.comment_links == 1
     assert m.link_noise == 0.5
     assert (m.section_tokens, m.main_tokens) == (3, 3)
@@ -112,13 +112,12 @@ def test_measure_noise_fraction_is_exact():
         },
     )
     rules = {"alpha": make_rule(site_id="alpha"), "beta": make_rule(site_id="beta")}
-    sliced, errors = slice_corpus(corpus, rules)
+    sliced, errors = slice_corpus(corpus.pages, rules)
     assert errors == []
-    m = measure_noise(sliced, corpus, stopwords=NO_STOPWORDS)
+    m = measure_noise(sliced, corpus.site_index, stopwords=NO_STOPWORDS)
     assert (m.comment_links, m.countable_links) == (19, 48)
     assert m.link_noise == 19 / 48
-    verdict = decide(m, Thresholds())
-    assert verdict.should_slice and "link_noise" in verdict.exceeded
+    assert "link_noise" in exceeded(m)
 
 
 def test_measure_noise_on_empty_pages_is_all_zero():
@@ -126,8 +125,8 @@ def test_measure_noise_on_empty_pages_is_all_zero():
         sites={"a": ("blog", ["a.org"])}, pages={("a", "p.html"): b""}
     )
     rules = {"a": make_rule(site_id="a", has_comments=False, open_pattern=None, close_pattern=None)}
-    sliced, _ = slice_corpus(corpus, rules)
-    m = measure_noise(sliced, corpus, stopwords=NO_STOPWORDS)
+    sliced, _ = slice_corpus(corpus.pages, rules)
+    m = measure_noise(sliced, corpus.site_index, stopwords=NO_STOPWORDS)
     assert (m.link_noise, m.token_noise, m.text_divergence) == (0.0, 0.0, 0.0)
 
 
@@ -136,9 +135,9 @@ def test_section_inside_script_is_no_token_noise():
         main_before=b"<p>article</p><script>", fragments=[b"<p>cache</p>"], main_after=b"</script>"
     )
     corpus = corpus_in_memory(sites={"a": ("blog", ["a.org"])}, pages={("a", "p.html"): raw})
-    sliced, errors = slice_corpus(corpus, {"a": make_rule(site_id="a")})
+    sliced, errors = slice_corpus(corpus.pages, {"a": make_rule(site_id="a")})
     assert errors == [] and sliced[0].section_spans
-    m = measure_noise(sliced, corpus, stopwords=NO_STOPWORDS)
+    m = measure_noise(sliced, corpus.site_index, stopwords=NO_STOPWORDS)
     assert (m.section_tokens, m.main_tokens) == (0, 1)
     assert (m.token_noise, m.text_divergence) == (0.0, 0.0)
 
@@ -155,24 +154,29 @@ def measurement(link=0.0, token=0.0, divergence=0.0) -> NoiseMeasurement:
     )
 
 
-def test_decide_requires_strict_excess():
-    t = Thresholds(link=0.05, token=0.05, divergence=0.05)
-    assert decide(measurement(link=0.05), t).should_slice is False  # equality is fine
-    assert decide(measurement(link=0.050001), t).should_slice is True
-    verdict = decide(measurement(token=0.2, divergence=0.2), t)
-    assert verdict.should_slice and verdict.exceeded == ("token_noise", "text_divergence")
+def exceeded(m: NoiseMeasurement, thresholds: Thresholds = Thresholds()) -> tuple[str, ...]:
+    return AuditResult(
+        sample_size=1, measurement=m, thresholds=thresholds, sites=(), errors=()
+    ).exceeded
+
+
+def test_exceeded_requires_strict_excess():
+    t = Thresholds(link_noise=0.05, token_noise=0.05, text_divergence=0.05)
+    assert exceeded(measurement(link=0.05), t) == ()  # equality is fine
+    assert exceeded(measurement(link=0.050001), t) == ("link_noise",)
+    assert exceeded(measurement(token=0.2, divergence=0.2), t) == ("token_noise", "text_divergence")
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 @given(unit, unit, unit, unit, unit, unit, unit, unit, unit)
-def test_decide_is_monotone_in_thresholds(l, t, d, l1, t1, d1, dl, dt, dd):
+def test_exceeded_is_monotone_in_thresholds(l, t, d, l1, t1, d1, dl, dt, dd):
     m = measurement(link=l, token=t, divergence=d)
-    low = Thresholds(link=l1, token=t1, divergence=d1)
-    high = Thresholds(link=l1 + dl, token=t1 + dt, divergence=d1 + dd)
-    if not decide(m, low).should_slice:
-        assert not decide(m, high).should_slice
+    low = Thresholds(link_noise=l1, token_noise=t1, text_divergence=d1)
+    high = Thresholds(link_noise=l1 + dl, token_noise=t1 + dt, text_divergence=d1 + dd)
+    if not exceeded(m, low):
+        assert not exceeded(m, high)
 
 
 def test_run_audit_end_to_end(two_site_corpus):
@@ -183,8 +187,7 @@ def test_run_audit_end_to_end(two_site_corpus):
     result = run_audit(two_site_corpus, rules, sample_n=100, seed=3)
     assert result.sample_size == 2
     assert result.errors == ()
-    assert result.decision.should_slice  # half the internal links sit in comments
-    assert "link_noise" in result.decision.exceeded
+    assert "link_noise" in result.exceeded  # half the internal links sit in comments
 
     diag = {d.site_id: d for d in result.sites}
     assert diag["alpha"].pages == 1 and diag["alpha"].sections == 1
@@ -204,26 +207,27 @@ def test_run_audit_without_pages_is_fatal():
         run_audit(corpus, {"a": make_rule(site_id="a")}, sample_n=5, seed=0)
 
 
+def test_run_audit_builds_no_second_corpus(two_site_corpus, monkeypatch):
+    built = []
+    post_init = Corpus.__post_init__
+    monkeypatch.setattr(Corpus, "__post_init__", lambda self: built.append(post_init(self)))
+    rules = {"alpha": make_rule(site_id="alpha"), "beta": make_rule(site_id="beta")}
+    run_audit(two_site_corpus, rules, sample_n=100, seed=0)
+    assert built == []
+
+
 def test_site_diagnostics_rough_rule_has_no_comment_counts(two_site_corpus):
     rules = {"alpha": make_rule(site_id="alpha"), "beta": make_rule(site_id="beta")}
-    sliced, _ = slice_corpus(two_site_corpus, rules)
-    diag = {d.site_id: d for d in site_diagnostics(sliced, two_site_corpus, rules)}
+    sliced, _ = slice_corpus(two_site_corpus.pages, rules)
+    diag = {d.site_id: d for d in site_diagnostics(sliced, two_site_corpus.labels, rules)}
     assert diag["alpha"].comments is None
     assert diag["alpha"].commenter_urls is None
     assert diag["alpha"].sections == 1
 
 
 def test_format_report_keep_branch():
-    from comslice.audit import AuditResult
-
-    m = measurement(link=0.01)
     result = AuditResult(
-        sample_size=3,
-        measurement=m,
-        thresholds=Thresholds(),
-        decision=decide(m, Thresholds()),
-        sites=(),
-        errors=(),
+        sample_size=3, measurement=measurement(link=0.01), thresholds=Thresholds(), sites=(), errors=()
     )
     report = format_report(result)
     assert "decision: KEEP AS-IS" in report
@@ -250,4 +254,4 @@ def _reference_sample(corpus, n, seed):
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_sample_order_matches_reference(n, seed):
     corpus = many_pages_corpus()
-    assert sample_corpus(corpus, n, seed).pages == _reference_sample(corpus, n, seed)
+    assert sample_corpus(corpus.pages, n, seed) == _reference_sample(corpus, n, seed)

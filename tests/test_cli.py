@@ -319,6 +319,12 @@ def test_configuration_failures_exit_1(workspace, tmp_path, capsys, command, opt
     assert err.startswith("error: ") and "config-file" in err
 
 
+@pytest.mark.parametrize("command", ["tokens", "audit"])
+def test_empty_stopwords_path_exits_1(workspace, capsys, command):
+    assert run(base_args(workspace, command) + ["--stopwords", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: stopword list not found")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["slice-rough"]) == 2  # missing required arguments
@@ -381,6 +387,33 @@ def test_golden_audit_sites_csv(golden_ws):
         b"site_id,label,pages,sections,comment_bytes,total_bytes,comments,commenter_urls\r\n"
         b"alpha,blog,2,1,169,289,1,0\r\n"
         b"beta,press,2,2,80,200,,\r\n"
+    )
+
+
+def test_golden_audit_csv(golden_ws):
+    assert run(base_args(golden_ws, "audit")) == 0
+    assert (golden_ws["out"] / "audit.csv").read_bytes() == (
+        b"metric,value,threshold,exceeded\r\n"
+        b"link_noise,0.0,0.05,false\r\n"
+        b"token_noise,0.2727272727272727,0.05,true\r\n"
+        b"text_divergence,0.1519602295264612,0.05,true\r\n"
+    )
+
+
+def test_golden_audit_txt(golden_ws):
+    assert run(base_args(golden_ws, "audit")) == 0
+    assert (golden_ws["out"] / "audit.txt").read_bytes() == (
+        b"pages sampled: 4\n"
+        b"link_noise: 0.0000 (threshold 0.05) [0/0 site-to-site links in comments]\n"
+        b"token_noise: 0.2727 (threshold 0.05) [3 comment tokens vs 8 main tokens]\n"
+        b"text_divergence: 0.1520 bits (threshold 0.05)\n"
+        b"\n"
+        b"decision: SLICE (exceeded: token_noise, text_divergence)\n"
+        b"slicing errors in sample: missing_opening=1\n"
+        b"\n"
+        b"per-site footprint:\n"
+        b"  alpha (blog): 2 pages, 1 sections, 58.5% of bytes in comments, 1 comments, 0 commenter urls\n"
+        b"  beta (press): 2 pages, 2 sections, 40.0% of bytes in comments\n"
     )
 
 

@@ -66,8 +66,20 @@ def test_non_anchor_hrefs_are_ignored():
 
 
 def test_iter_hrefs_lists_every_anchor():
-    raw = b'<a href="http://a/">1</a><p><a href=\'http://b/\'>2</a></p>'
-    assert [href for _, href in iter_hrefs(raw)] == ["http://a/", "http://b/"]
+    raw = (
+        b'<a href="http://a/">1</a><p><a href=\'http://b/\'>2</a></p>'
+        b'<a href="">3</a><a href=\'\'>4</a>'
+        b'<a href="http://c/" href="http://d/">5</a>'  # the first href wins
+        b"<a href=http://e/>6</a>"
+    )
+    assert list(iter_hrefs(raw)) == [
+        (9, "http://a/"),
+        (37, "http://b/"),
+        (66, ""),  # an empty value starts just after its opening quote
+        (82, ""),
+        (98, "http://c/"),
+        (139, "http://e/"),
+    ]
 
 
 def test_location_follows_sections():
@@ -143,32 +155,32 @@ link_lists = st.lists(
 )
 
 
-SITES = [Site(site_id=s, label=s.upper(), url_prefixes=(f"{s}.org",)) for s in "abcd"]
+GRAPH_LABELS = {s: s.upper() for s in "abcd"}
 
 
 def test_mutual_graph_requires_reciprocity():
     links = [mk_link("a", "b"), mk_link("b", "a"), mk_link("a", "c")]
-    graph = mutual_link_graph(links, SITES)
+    graph = mutual_link_graph(links, GRAPH_LABELS)
     assert graph.edges == frozenset({("a", "b")})
     assert graph.nodes == ("a", "b", "c", "d")  # isolated sites stay in the graph
 
 
 def test_mutual_graph_reciprocity_can_cross_locations():
     links = [mk_link("a", "b", True), mk_link("b", "a", False)]
-    assert mutual_link_graph(links, SITES).edges == frozenset({("a", "b")})
-    assert mutual_link_graph(links, SITES, include_comments=False).edges == frozenset()
+    assert mutual_link_graph(links, GRAPH_LABELS).edges == frozenset({("a", "b")})
+    assert mutual_link_graph(links, GRAPH_LABELS, include_comments=False).edges == frozenset()
 
 
 @given(link_lists)
 def test_dropping_comment_links_never_adds_edges(links):
-    with_comments = mutual_link_graph(links, SITES).edges
-    without = mutual_link_graph(links, SITES, include_comments=False).edges
+    with_comments = mutual_link_graph(links, GRAPH_LABELS).edges
+    without = mutual_link_graph(links, GRAPH_LABELS, include_comments=False).edges
     assert without <= with_comments
 
 
 @given(link_lists)
 def test_components_match_networkx(links):
-    graph = mutual_link_graph(links, SITES)
+    graph = mutual_link_graph(links, GRAPH_LABELS)
     oracle = nx.Graph()
     oracle.add_nodes_from(graph.nodes)
     oracle.add_edges_from(graph.edges)
@@ -198,7 +210,7 @@ def test_gexf_round_trips_through_networkx(tmp_path):
 
 
 def test_extract_all_links_on_real_corpus(two_site_corpus):
-    sliced, errors = slice_corpus(two_site_corpus, {"alpha": make_rule(), "beta": make_rule()})
+    sliced, errors = slice_corpus(two_site_corpus.pages, {"alpha": make_rule(), "beta": make_rule()})
     assert errors == []
     links = extract_all_links(sliced, two_site_corpus.site_index)
     by_page = {}

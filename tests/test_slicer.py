@@ -320,7 +320,7 @@ def _corpus_with_pages(pages: dict[str, bytes]):
 def test_slice_corpus_requires_a_rule_per_site():
     corpus = _corpus_with_pages({"p.html": b"x"})
     with pytest.raises(EncodingFileError, match="no slicing rule"):
-        slice_corpus(corpus, {})
+        slice_corpus(corpus.pages, {})
 
 
 def test_parallel_slicing_matches_serial():
@@ -332,8 +332,8 @@ def test_parallel_slicing_matches_serial():
     }
     corpus = _corpus_with_pages(pages)
     rules = {"s1": make_rule()}
-    serial = slice_corpus(corpus, rules)
-    parallel = slice_corpus(corpus, rules, workers=3)
+    serial = slice_corpus(corpus.pages, rules)
+    parallel = slice_corpus(corpus.pages, rules, workers=3)
     assert parallel == serial
 
 
@@ -342,7 +342,7 @@ def test_pool_sends_back_spans_not_bytes(monkeypatch):
     corpus = _corpus_with_pages(
         {f"p{i}.html": page_bytes(fragments=[fragment(text=f"c{i}")] * (i % 3)) for i in range(8)}
     )
-    sliced, _ = slice_corpus(corpus, {"s1": make_rule()}, workers=2)
+    sliced, _ = slice_corpus(corpus.pages, {"s1": make_rule()}, workers=2)
     assert len(sliced) == len(corpus.pages)
     for one, page in zip(sliced, corpus.pages):
         assert one.raw_bytes is page.raw_bytes
@@ -362,7 +362,7 @@ def test_in_comment_section_offsets():
 def _report_for(pages: dict[str, bytes], rule=None):
     rule = rule or make_rule()
     corpus = _corpus_with_pages(pages)
-    sliced, errors = slice_corpus(corpus, {"s1": rule})
+    sliced, errors = slice_corpus(corpus.pages, {"s1": rule})
     return build_error_report(sliced, errors, {"s1": rule})
 
 
@@ -447,5 +447,5 @@ def test_parallel_pool_is_capped(monkeypatch, workers, cpus, pages, pool_size):
         {f"p{i}.html": page_bytes(fragments=[fragment(text=f"c{i}")]) for i in range(pages)}
     )
     rules = {"s1": make_rule()}
-    assert slice_corpus(corpus, rules, workers=workers) == slice_corpus(corpus, rules)
+    assert slice_corpus(corpus.pages, rules, workers=workers) == slice_corpus(corpus.pages, rules)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
