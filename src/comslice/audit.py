@@ -195,12 +195,13 @@ def run_audit(
     seed: int,
     thresholds: Thresholds | None = None,
     stopwords: frozenset[str] | None = None,
+    workers: int = 1,
 ) -> AuditResult:
-    """Sample, slice and measure in one in-process pass."""
+    """Sample, slice (in ``workers`` processes, as ``slice_corpus``) and measure."""
     sample = sample_corpus(corpus.pages, sample_n, seed)
     if not sample:
         raise ComsliceError("audit sample is empty: the corpus has no pages")
-    sliced, errors = slice_corpus(sample, rules)
+    sliced, errors = slice_corpus(sample, rules, workers=workers)
     return AuditResult(
         sample_size=len(sample),
         measurement=measure_noise(sliced, corpus.site_index, stopwords),

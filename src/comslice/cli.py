@@ -75,7 +75,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive_int,
         default=1,
-        help="worker processes for slicing (default: 1); audit slices its sample in-process",
+        help="worker processes for slicing (default: 1)",
     )
 
 
@@ -299,6 +299,7 @@ def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
         seed=args.seed,
         thresholds=audit_mod.Thresholds(**{name: getattr(args, name) for name in metrics}),
         stopwords=stopwords,
+        workers=args.workers,
     )
     report = audit_mod.format_report(result)
     (out / "audit.txt").write_text(report, encoding="utf-8")

@@ -25,6 +25,9 @@ MANIFEST_COLUMNS = ("site_id", "label", "page_path", "url_prefixes")
 # a host with a numeric port and no scheme ("a.org:8080/x") is not scheme "a.org"
 _SCHEME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:(?!\d+(?:[/?\\]|$))")
 _HOST_END_RE = re.compile(r"[/?\\]")
+# the characters outside XML 1.0's Char production (https://www.w3.org/TR/xml/#charsets);
+# site ids and labels end up in graph.gexf, which must stay well-formed
+_NOT_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 # host -> that host's (normalized prefix, site_id) pairs, longest prefix first
 SiteIndex = dict[str, tuple[tuple[str, str], ...]]
@@ -109,11 +112,12 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     duplicate (site_id, page_path), one page_path under two site_ids (both
     would write the same stripped file), a page referencing a site_id no
     row defines, a prefix with no host, one prefix claimed by two sites
-    (compared after normalize_url), or conflicting redefinitions of a site.
+    (compared after normalize_url), conflicting redefinitions of a site, or
+    a site_id or label holding a character that XML 1.0 does not allow.
     """
+    text = read_text(manifest, ManifestError, "manifest")
     root = Path(root)
     manifest = Path(manifest)
-    text = read_text(manifest, ManifestError, "manifest")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -138,6 +142,13 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
         site_id = row[0].strip()
         if not site_id:
             raise ManifestError(f"manifest {manifest} row {lineno}: empty site_id")
+        for column, cell in (("site_id", site_id), ("label", row[1].strip())):
+            bad = _NOT_XML_CHAR_RE.search(cell)
+            if bad:
+                raise ManifestError(
+                    f"manifest {manifest} row {lineno}: {column} holds {bad.group()!r}, "
+                    "which XML 1.0 does not allow"
+                )
         prefixes = tuple(p.strip() for p in row[3].split("|") if p.strip())
         if not prefixes:
             continue

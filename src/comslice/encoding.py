@@ -168,8 +168,8 @@ def parse_encoding_file(path: str | Path) -> dict[str, Rule]:
     Every problem is fatal and reported with the file path and row number,
     so a bad rule can never silently pass through to slicing.
     """
-    path = Path(path)
     text = read_text(path, EncodingFileError, "encoding file")
+    path = Path(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)

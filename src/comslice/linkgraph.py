@@ -19,8 +19,12 @@ from typing import Iterable
 from .corpus import SiteIndex, resolve_url
 from .slicer import SlicedPage
 
+# An anchor with no href before its '>' (or before the end of the page) matches
+# the group-less second branch, which consumes it up to that '>': an anchor
+# starting before that '>' could not hold an href either, so the scan never
+# re-reads the rest of the page from each of them and stays linear.
 _HREF_RE = re.compile(
-    rb'<a[\s/][^>]*?href\s*=\s*(?:"([^"]*)"|\'([^\']*)\'|([^\s>]+))',
+    rb'<a[\s/](?:[^>]*?href\s*=\s*(?:"([^"]*)"|\'([^\']*)\'|([^\s>]+))|[^>]*)',
     re.IGNORECASE | re.DOTALL,
 )
 
@@ -49,8 +53,9 @@ class Link:
 def iter_hrefs(data: bytes) -> Iterable[tuple[int, str]]:
     """Every anchor href value in the page, as (byte offset, decoded value)."""
     for m in _HREF_RE.finditer(data):
-        # the three quoting styles are alternatives: exactly one group takes part
-        yield m.start(m.lastindex), m.group(m.lastindex).decode("utf-8", errors="replace")
+        # the three quoting styles are alternatives: at most one group takes part
+        if m.lastindex is not None:
+            yield m.start(m.lastindex), m.group(m.lastindex).decode("utf-8", errors="replace")
 
 
 def extract_links(page: SlicedPage, index: SiteIndex) -> list[Link]:

@@ -120,28 +120,22 @@ class Comment:
     text: str | None
 
 
-def _whole_page(page: Page) -> SlicedPage:
-    return SlicedPage(page.site_id, page.page_path, page.raw_bytes, section_spans=())
-
-
-def rough_slice(page: Page, rule: Rule) -> tuple[SlicedPage, list[SliceError]]:
-    """Partition one page into main content and comment sections.
+def rough_slice(data: bytes, rule: Rule) -> tuple[tuple[Span, ...], str | None]:
+    """Find the comment sections of one page's bytes, as (spans, error kind).
 
     Sections run from an opening match through the end of the next closing
     match; with no closing pattern configured, a section runs to the end
     of the file. A page with no opening, or an opening that never closes,
-    is kept whole as main content and reported (missing_opening /
-    missing_closure). Several sections on one page are all kept but
-    flagged once as multiple_openings.
+    gets no spans, so it is kept whole as main content, and the kind
+    missing_opening or missing_closure. Several sections on one page are
+    all kept, with the kind multiple_openings. Otherwise the kind is None.
     """
-    data = page.raw_bytes
     n = len(data)
     if not rule.has_comments:
-        return _whole_page(page), []
+        return (), None
     assert rule.open_pattern is not None  # guaranteed by encoding validation
 
     sections: list[Span] = []
-    unclosed = False
     pos = 0
     while pos <= n:
         hit = rule.open_pattern.regex.search(data, pos)
@@ -153,8 +147,7 @@ def rough_slice(page: Page, rule: Rule) -> tuple[SlicedPage, list[SliceError]]:
         else:
             closing = rule.close_pattern.regex.search(data, open_end)
             if closing is None:
-                unclosed = True
-                break
+                return (), MISSING_CLOSURE
             end = closing.end()
         if end <= open_start:
             # zero-width pathology: force progress, never emit empty spans
@@ -165,16 +158,9 @@ def rough_slice(page: Page, rule: Rule) -> tuple[SlicedPage, list[SliceError]]:
         if rule.close_pattern is None:
             break
 
-    if unclosed:
-        return _whole_page(page), [SliceError(page.site_id, page.page_path, MISSING_CLOSURE)]
     if not sections:
-        return _whole_page(page), [SliceError(page.site_id, page.page_path, MISSING_OPENING)]
-
-    sliced = SlicedPage(page.site_id, page.page_path, data, section_spans=tuple(sections))
-    errors: list[SliceError] = []
-    if len(sections) > 1:
-        errors.append(SliceError(page.site_id, page.page_path, MULTIPLE_OPENINGS))
-    return sliced, errors
+        return (), MISSING_OPENING
+    return tuple(sections), MULTIPLE_OPENINGS if len(sections) > 1 else None
 
 
 def split_section(section: bytes, rule: Rule) -> list[Span]:
@@ -267,18 +253,13 @@ def precise_slice(sliced: SlicedPage, rule: Rule) -> tuple[list[Comment], list[S
     return comments, errors
 
 
-def _slice_spans(task: tuple[Page, Rule]) -> tuple[tuple[Span, ...], list[SliceError]]:
-    sliced, errors = rough_slice(*task)
-    return sliced.section_spans, errors
-
-
 def slice_corpus(
     pages: list[Page], rules: dict[str, Rule], workers: int = 1
 ) -> tuple[list[SlicedPage], list[SliceError]]:
     """Rough-slice every page, in the given order (a Corpus's is manifest order).
 
     With workers > 1 the pages are fanned out over worker processes that
-    send back only each page's section spans and errors; every SlicedPage
+    send back only each page's section spans and error kind; every SlicedPage
     is built here around its own Page's bytes, so the result is identical
     to a serial run. The pool never holds more processes than there are
     CPUs or pages, and with one process left the pages are sliced here.
@@ -286,21 +267,23 @@ def slice_corpus(
     for page in pages:
         if page.site_id not in rules:
             raise EncodingFileError(f"no slicing rule for site {page.site_id}")
-    tasks = [(page, rules[page.site_id]) for page in pages]
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    data = [page.raw_bytes for page in pages]
+    page_rules = [rules[page.site_id] for page in pages]
+    workers = min(workers, os.cpu_count() or 1, len(pages))
     if workers <= 1:
-        results = map(_slice_spans, tasks)
+        results = map(rough_slice, data, page_rules)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(tasks) // (workers * 4))
+        chunksize = max(1, len(pages) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_slice_spans, tasks, chunksize=chunksize))
+            results = list(pool.map(rough_slice, data, page_rules, chunksize=chunksize))
     sliced: list[SlicedPage] = []
     errors: list[SliceError] = []
-    for page, (spans, errs) in zip(pages, results):
+    for page, (spans, kind) in zip(pages, results):
         sliced.append(SlicedPage(page.site_id, page.page_path, page.raw_bytes, spans))
-        errors.extend(errs)
+        if kind is not None:
+            errors.append(SliceError(page.site_id, page.page_path, kind))
     return sliced, errors
 
 

@@ -20,12 +20,16 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ComsliceError, read_text
 from .slicer import SlicedPage, Span
 
+# Each markup pattern also matches what is left when the end of the text cuts
+# it off (a tag with no '>', a script start tag with no '>'). _blank leaves
+# such an incomplete match as it is; matching it only skips start positions
+# that could not match either, so no scan re-reads the rest of the text.
 _SCRIPT_STYLE_RE = re.compile(
-    r"<(script|style)\b[^>]*>.*?(?:</\1[^>]*>|\Z)",
+    r"<(script|style)\b[^>]*(>.*?(?:</\1[^>]*>?|\Z))?",
     re.IGNORECASE | re.DOTALL,
 )
-_TAG_RE = re.compile(r"<[^>]*>")
-_WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+_TAG_RE = re.compile(r"<[^>]*>?")
+_WORD_RE = re.compile(r"[^\W\d_]{2,}")
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -40,7 +44,7 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
             encoding="utf-8"
         )
     else:
-        text = read_text(Path(path), ComsliceError, "stopword list")
+        text = read_text(path, ComsliceError, "stopword list")
     words = set()
     for line in text.splitlines():
         word = line.split("#", 1)[0].strip().lower()
@@ -55,8 +59,15 @@ def default_stopwords() -> frozenset[str]:
 
 
 def _blank(match: re.Match[str]) -> str:
-    """Spaces as long as the match, so character offsets survive the removal."""
-    return " " * (match.end() - match.start())
+    """Spaces as long as a complete match, so character offsets survive the removal.
+
+    A match is complete when it ends in '>' or its body (the script or
+    style pattern's group 2) took part.
+    """
+    text = match[0]
+    if text[-1] == ">" or match.lastindex == 2:
+        return " " * len(text)
+    return text
 
 
 def tokenize(
@@ -88,7 +99,7 @@ def tokenize(
     parts: tuple[list[str], list[str]] = ([], [])
     for i, (start, end) in enumerate(zip(cuts, cuts[1:])):
         words = _WORD_RE.findall(lowered, start, end)
-        parts[i % 2].extend(t for t in words if len(t) >= 2 and t not in stopwords)
+        parts[i % 2].extend(t for t in words if t not in stopwords)
     return parts
 
 

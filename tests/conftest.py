@@ -9,6 +9,7 @@ import pytest
 
 from comslice.corpus import Corpus, Page, load_corpus
 from comslice.encoding import Pattern, Rule
+from comslice.slicer import SlicedPage, SliceError, slice_corpus
 
 # Standard delimiters used by most fixtures. Sections span from the start
 # of OPEN to the end of CLOSE, so an empty section is exactly OPEN + CLOSE.
@@ -129,6 +130,33 @@ def corpus_in_memory(
         for (sid, path), raw in pages.items()
     ]
     return Corpus(registry=registry, pages=page_list)
+
+
+def slice_page(
+    raw: bytes, rule: Rule | None = None, path: str = "p.html"
+) -> tuple[SlicedPage, list[SliceError]]:
+    """One page of site s1 through slice_corpus: (SlicedPage, its errors)."""
+    page = Page(site_id="s1", page_path=path, raw_bytes=raw)
+    (sliced,), errors = slice_corpus([page], {"s1": rule or make_rule()})
+    return sliced, errors
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
 
 def assert_partition(sliced) -> None:

@@ -18,7 +18,7 @@ import pytest
 
 from comslice.audit import run_audit
 from comslice.cli import run
-from comslice.corpus import Page, load_corpus
+from comslice.corpus import load_corpus
 from comslice.encoding import Pattern, write_encoding_file
 from comslice.linkgraph import (
     Link,
@@ -33,7 +33,6 @@ from comslice.slicer import (
     MULTIPLE_OPENINGS,
     build_error_report,
     precise_slice,
-    rough_slice,
     slice_corpus,
 )
 from comslice.textstats import corpus_token_counts, top_k
@@ -49,6 +48,7 @@ from conftest import (
     make_precise_rule,
     make_rule,
     page_bytes,
+    slice_page,
     write_corpus,
 )
 
@@ -177,8 +177,7 @@ def test_criterion_2_partition_property_on_generated_pages():
             else:  # opening that never closes
                 raw = random_ascii(rng, 0, 200) + open_marker + random_ascii(rng, 0, 150)
                 raw = raw.replace(close_marker, b"")
-            page = Page(site_id="s1", page_path=f"p{i}.html", raw_bytes=raw)
-            sliced, _ = rough_slice(page, rule)
+            sliced, _ = slice_page(raw, rule, f"p{i}.html")
             assert_partition(sliced)
             assert sliced.reassembled() == raw
             checked += 1
@@ -358,8 +357,7 @@ def test_criterion_6_precise_slicing_matches_brute_force_reference():
 
         for page_index, (section, rule, bare) in enumerate(cases):
             raw = b"<body>" + section + b"</body>"
-            page = Page(site_id="s1", page_path=f"c{page_index}.html", raw_bytes=raw)
-            sliced, slice_errors = rough_slice(page, rule)
+            sliced, slice_errors = slice_page(raw, rule, f"c{page_index}.html")
             assert slice_errors == []
             comments, errors = precise_slice(sliced, rule)
             assert errors == []

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
+import os
 import re
 
 import networkx as nx
@@ -16,6 +18,7 @@ from conftest import (
     CLOSE,
     COMMENT_SEP,
     OPEN,
+    RecordingPool,
     fragment,
     make_precise_rule,
     make_rule,
@@ -185,6 +188,21 @@ def test_graph_gexf(workspace, capsys):
     assert run(base_args(workspace, "graph") + ["--include-comments"]) == 0
 
 
+@pytest.mark.parametrize(
+    "row, column",
+    [("gam\x01ma,press,,gamma.example.org", "site_id"), ("gamma,pr\x0bess,,gamma.example.org", "label")],
+    ids=["site_id", "label"],
+)
+def test_manifest_character_that_xml_forbids_exits_1(workspace, capsys, row, column):
+    # written into graph.gexf, such a character would make the file ill-formed
+    with open(workspace["manifest"], "a", encoding="utf-8") as fh:
+        fh.write(row + "\r\n")
+    assert run(base_args(workspace, "graph")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and f"row 7: {column} holds" in err
+    assert not (workspace["out"] / "graph.gexf").exists()
+
+
 def test_tokens_tables(workspace):
     assert run(base_args(workspace, "tokens") + ["--top-k", "5"]) == 0
     with_rows = read_csv(workspace["out"] / "tokens_with_comments.csv")
@@ -260,6 +278,21 @@ def test_parallel_workers_give_identical_files(workspace, tmp_path):
         assert (serial_out / rel).read_bytes() == (parallel_out / rel).read_bytes()
 
 
+def test_audit_slices_its_sample_in_the_worker_pool(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = base_args(workspace, "audit")[:-1]
+    assert run(args + [str(tmp_path / "serial"), "--workers", "1"]) == 0
+    assert run(args + [str(tmp_path / "parallel"), "--workers", "2"]) == 0  # a real pool
+    for name in ("audit.txt", "audit.csv", "audit_sites.csv"):
+        serial = (tmp_path / "serial" / name).read_bytes()
+        assert (tmp_path / "parallel" / name).read_bytes() == serial
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert run(args + [str(tmp_path / "recorded"), "--workers", "2"]) == 0
+    assert RecordingPool.sizes == [2]  # the three sampled pages went through the pool
+    capsys.readouterr()
+
+
 def test_missing_manifest_exits_1(workspace, capsys):
     args = base_args(workspace, "slice-rough")
     args[args.index("--manifest") + 1] = str(workspace["root"] / "absent.csv")
@@ -322,7 +355,16 @@ def test_configuration_failures_exit_1(workspace, tmp_path, capsys, command, opt
 @pytest.mark.parametrize("command", ["tokens", "audit"])
 def test_empty_stopwords_path_exits_1(workspace, capsys, command):
     assert run(base_args(workspace, command) + ["--stopwords", ""]) == 1
-    assert capsys.readouterr().err.startswith("error: stopword list not found")
+    # the value given, not the "." that Path("") names
+    assert capsys.readouterr().err == "error: stopword list not found: ''\n"
+
+
+@pytest.mark.parametrize("option, what", [("--manifest", "manifest"), ("--encoding", "encoding file")])
+def test_empty_config_path_is_named_as_given(workspace, capsys, option, what):
+    args = base_args(workspace, "slice-rough")
+    args[args.index(option) + 1] = ""
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {what} not found: ''\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -357,3 +357,22 @@ def test_page_path_under_two_sites_is_fatal(tmp_path, second_path):
         csv.writer(fh).writerow(["s2", "", second_path, ""])
     with pytest.raises(ManifestError, match=r"site s1 \(row 4\) and site s2 \(row 5\)"):
         load_corpus(root, manifest)
+
+
+@pytest.mark.parametrize(
+    "char, allowed",
+    # the edges of XML 1.0's Char production: #x9 | #xA | #xD | [#x20-#xD7FF] |
+    # [#xE000-#xFFFD] | [#x10000-#x10FFFF]
+    [("\x08", False), ("\t", True), ("\x0c", False), ("\x1f", False), ("\x20", True),
+     ("\x7f", True), ("\ud7ff", True), ("\ue000", True), ("\ufffd", True),
+     ("\ufffe", False), ("\uffff", False), ("\U00010000", True), ("\U0010ffff", True)],
+)
+def test_label_must_be_xml_text(tmp_path, char, allowed):
+    root, manifest = write_corpus(
+        tmp_path, sites={"s1": (f"bl{char}og", ["s1.org"])}, pages={("s1", "p.html"): b"x"}
+    )
+    if allowed:
+        assert load_corpus(root, manifest).labels == {"s1": f"bl{char}og"}
+    else:
+        with pytest.raises(ManifestError, match=r"row 2: label holds .*XML 1\.0"):
+            load_corpus(root, manifest)

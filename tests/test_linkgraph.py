@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+import time
+
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comslice.corpus import Corpus, Site
@@ -80,6 +83,39 @@ def test_iter_hrefs_lists_every_anchor():
         (98, "http://c/"),
         (139, "http://e/"),
     ]
+
+
+# iter_hrefs' regex before it was made linear: the reference for its matches
+_REF_HREF_RE = re.compile(
+    rb'<a[\s/][^>]*?href\s*=\s*(?:"([^"]*)"|\'([^\']*)\'|([^\s>]+))',
+    re.IGNORECASE | re.DOTALL,
+)
+
+anchor_soup = st.lists(
+    st.sampled_from(
+        [b"<a ", b"<A/", b"<a", b"<ab ", b"href", b"HREF", b"=", b" ", b"\n", b'"', b"'",
+         b">", b"<", b"x", b"/", b"\xff"]
+    )
+    | st.binary(max_size=4),
+    max_size=30,
+).map(b"".join)
+
+
+@settings(max_examples=300)
+@given(anchor_soup)
+def test_iter_hrefs_matches_the_reference_regex(raw):
+    expected = [
+        (m.start(m.lastindex), m.group(m.lastindex).decode("utf-8", errors="replace"))
+        for m in _REF_HREF_RE.finditer(raw)
+    ]
+    assert list(iter_hrefs(raw)) == expected
+
+
+def test_iter_hrefs_is_linear_on_anchors_that_never_close():
+    raw = b"<a " * (1_000_000 // 3)  # a page cut off mid-tag, many times over
+    started = time.perf_counter()
+    assert list(iter_hrefs(raw)) == []
+    assert time.perf_counter() - started < 1.0
 
 
 def test_location_follows_sections():

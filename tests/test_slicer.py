@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comslice.corpus import Page
 from comslice.encoding import Pattern
 from comslice.errors import EncodingFileError
 from comslice.slicer import (
@@ -31,22 +30,20 @@ from conftest import (
     COMMENT_SEP,
     EMPTY_SIZE,
     OPEN,
+    RecordingPool,
     assert_partition,
     corpus_in_memory,
     fragment,
     make_precise_rule,
     make_rule,
     page_bytes,
+    slice_page,
 )
-
-
-def make_page(raw: bytes, path: str = "p.html") -> Page:
-    return Page(site_id="s1", page_path=path, raw_bytes=raw)
 
 
 def test_single_section_includes_delimiters():
     raw = page_bytes(fragments=[fragment(author="zoe", text="oui")])
-    sliced, errors = rough_slice(make_page(raw), make_rule())
+    sliced, errors = slice_page(raw)
     assert errors == []
     assert len(sliced.section_spans) == 1
     section = sliced.sections_bytes[0]
@@ -58,7 +55,8 @@ def test_single_section_includes_delimiters():
 def test_site_without_comments_never_scans():
     raw = page_bytes(fragments=[fragment(text="piege")])  # delimiters present
     rule = make_rule(has_comments=False, open_pattern=None, close_pattern=None)
-    sliced, errors = rough_slice(make_page(raw), rule)
+    assert rough_slice(raw, rule) == ((), None)
+    sliced, errors = slice_page(raw, rule)
     assert errors == []
     assert sliced.section_spans == ()
     assert sliced.stripped_bytes == raw
@@ -67,7 +65,8 @@ def test_site_without_comments_never_scans():
 
 def test_missing_opening_keeps_page_whole():
     raw = page_bytes(fragments=None)
-    sliced, errors = rough_slice(make_page(raw), make_rule())
+    assert rough_slice(raw, make_rule()) == ((), MISSING_OPENING)
+    sliced, errors = slice_page(raw)
     assert [e.kind for e in errors] == [MISSING_OPENING]
     assert sliced.section_spans == ()
     assert sliced.stripped_bytes == raw
@@ -75,7 +74,8 @@ def test_missing_opening_keeps_page_whole():
 
 
 def test_empty_page_reports_missing_opening():
-    sliced, errors = rough_slice(make_page(b""), make_rule())
+    assert rough_slice(b"", make_rule()) == ((), MISSING_OPENING)
+    sliced, errors = slice_page(b"")
     assert [e.kind for e in errors] == [MISSING_OPENING]
     assert sliced.main_spans == ()
     assert_partition(sliced)
@@ -83,7 +83,8 @@ def test_empty_page_reports_missing_opening():
 
 def test_missing_closure_discards_earlier_sections():
     raw = page_bytes(fragments=[fragment(text="ok")]) + OPEN + b"never closed"
-    sliced, errors = rough_slice(make_page(raw), make_rule())
+    assert rough_slice(raw, make_rule()) == ((), MISSING_CLOSURE)
+    sliced, errors = slice_page(raw)
     assert [e.kind for e in errors] == [MISSING_CLOSURE]
     assert sliced.section_spans == ()  # the complete first section is discarded too
     assert sliced.stripped_bytes == raw
@@ -98,7 +99,9 @@ def test_multiple_sections_kept_and_flagged_once():
         + OPEN + fragment(text="deux") + CLOSE
         + b"outro</body>"
     )
-    sliced, errors = rough_slice(make_page(raw), make_rule())
+    spans, kind = rough_slice(raw, make_rule())
+    assert kind == MULTIPLE_OPENINGS and len(spans) == 2
+    sliced, errors = slice_page(raw)
     assert [e.kind for e in errors] == [MULTIPLE_OPENINGS]
     assert len(sliced.section_spans) == 2
     assert sliced.stripped_bytes == b"<body>intromiddleoutro</body>"
@@ -108,7 +111,8 @@ def test_multiple_sections_kept_and_flagged_once():
 def test_absent_close_pattern_runs_section_to_end_of_file():
     raw = b"<body>main" + OPEN + fragment(text="fin") + b"<footer>"
     rule = make_rule(close_pattern=None)
-    sliced, errors = rough_slice(make_page(raw), rule)
+    assert rough_slice(raw, rule) == (((10, len(raw)),), None)
+    sliced, errors = slice_page(raw, rule)
     assert errors == []
     assert sliced.section_spans == ((10, len(raw)),)
     assert sliced.stripped_bytes == b"<body>main"
@@ -121,7 +125,7 @@ def test_regex_delimiters():
         close_pattern=Pattern("regex", r"<!-- END \d+ -->"),
     )
     raw = b'a<div id="comments-42">body<!-- END 42 -->z'
-    sliced, errors = rough_slice(make_page(raw), rule)
+    sliced, errors = slice_page(raw, rule)
     assert errors == []
     assert sliced.sections_bytes[0] == b'<div id="comments-42">body<!-- END 42 -->'
     assert_partition(sliced)
@@ -129,7 +133,7 @@ def test_regex_delimiters():
 
 def test_zero_width_regex_cannot_loop_forever():
     rule = make_rule(open_pattern=Pattern("regex", r"x*"), close_pattern=Pattern("regex", r"y*"))
-    sliced, _ = rough_slice(make_page(b"abc"), rule)
+    sliced, _ = slice_page(b"abc", rule)
     assert_partition(sliced)
 
 
@@ -138,7 +142,8 @@ def test_tiny_page_splits_around_markers():
         open_pattern=Pattern("literal", "<c>"),
         close_pattern=Pattern("literal", "</c>"),
     )
-    sliced, errors = rough_slice(make_page(b"AAA<c>hello</c>BBB"), rule)
+    assert rough_slice(b"AAA<c>hello</c>BBB", rule) == (((3, 15),), None)
+    sliced, errors = slice_page(b"AAA<c>hello</c>BBB", rule)
     assert errors == []
     assert sliced.main_spans == ((0, 3), (15, 18))
     assert sliced.section_spans == ((3, 15),)
@@ -148,7 +153,7 @@ def test_tiny_page_splits_around_markers():
 
 def test_page_that_is_all_section_strips_to_nothing():
     raw = page_bytes(main_before=b"", fragments=[fragment(text="rien autour")], main_after=b"")
-    sliced, errors = rough_slice(make_page(raw), make_rule())
+    sliced, errors = slice_page(raw)
     assert errors == []
     assert sliced.main_spans == ()
     assert sliced.stripped_bytes == b""
@@ -156,17 +161,18 @@ def test_page_that_is_all_section_strips_to_nothing():
 
 def test_stripping_is_idempotent():
     raw = page_bytes(main_before=b"<p>texte</p>", fragments=[fragment(text="bruit")])
-    first, errors = rough_slice(make_page(raw), make_rule())
+    first, errors = slice_page(raw)
     assert errors == []
-    second, second_errors = rough_slice(make_page(first.stripped_bytes), make_rule())
+    second, second_errors = slice_page(first.stripped_bytes)
     assert [e.kind for e in second_errors] == [MISSING_OPENING]
     assert second.stripped_bytes == first.stripped_bytes
 
 
 def test_rough_slice_is_deterministic():
     raw = page_bytes(fragments=[fragment(text="pareil"), fragment(text="encore")])
-    once, _ = rough_slice(make_page(raw), make_rule())
-    again, _ = rough_slice(make_page(raw), make_rule())
+    assert rough_slice(raw, make_rule()) == rough_slice(raw, make_rule())
+    once, _ = slice_page(raw)
+    again, _ = slice_page(raw)
     assert once == again
 
 
@@ -184,7 +190,7 @@ def test_partition_property(parts):
     raw = b"".join(
         part if isinstance(part, bytes) else OPEN + part[0] + CLOSE for part in parts
     )
-    sliced, _ = rough_slice(make_page(raw), make_rule())
+    sliced, _ = slice_page(raw)
     assert_partition(sliced)
     n_sections = sum(1 for part in parts if isinstance(part, tuple))
     if n_sections:
@@ -281,7 +287,7 @@ def test_precise_slice_numbers_comments_across_sections():
         + b"mid"
         + OPEN + fragment(text="trois") + CLOSE
     )
-    sliced, _ = rough_slice(make_page(raw), make_rule())
+    sliced, _ = slice_page(raw)
     comments, errors = precise_slice(sliced, make_precise_rule())
     assert errors == []
     assert [c.index for c in comments] == [0, 1, 2]
@@ -293,7 +299,7 @@ def test_precise_slice_numbers_comments_across_sections():
 
 def test_precise_slice_reports_anomalies_and_keeps_going():
     raw = OPEN + b"x" * 40 + CLOSE + b"mid" + OPEN + fragment(text="ok") + CLOSE
-    sliced, _ = rough_slice(make_page(raw), make_rule())
+    sliced, _ = slice_page(raw)
     comments, errors = precise_slice(sliced, make_precise_rule())
     assert [e.kind for e in errors] == [EXTRACTION_FAILURE]
     assert [c.text for c in comments] == ["ok"]
@@ -303,7 +309,7 @@ def test_precise_slice_reports_anomalies_and_keeps_going():
 def test_comment_count_matches_separator_count(texts):
     raw = page_bytes(fragments=[fragment(text=t) for t in texts])
     rule = make_precise_rule()
-    sliced, errors = rough_slice(make_page(raw), rule)
+    sliced, errors = slice_page(raw, rule)
     assert errors == []
     comments, comment_errors = precise_slice(sliced, rule)
     assert comment_errors == []
@@ -350,7 +356,7 @@ def test_pool_sends_back_spans_not_bytes(monkeypatch):
 
 def test_in_comment_section_offsets():
     raw = b"ab" + OPEN + b"inner" + CLOSE + b"yz"
-    sliced, _ = rough_slice(make_page(raw), make_rule())
+    sliced, _ = slice_page(raw)
     start, end = sliced.section_spans[0]
     assert not sliced.in_comment_section(0)
     assert sliced.in_comment_section(start)
@@ -411,24 +417,6 @@ def test_uniform_size_warning_silent_when_sections_are_legitimately_empty():
     assert report.warnings == []
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, maps serially."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
-
-
 @pytest.mark.parametrize(
     "workers, cpus, pages, pool_size",
     [
@@ -440,12 +428,12 @@ class _RecordingPool:
     ],
 )
 def test_parallel_pool_is_capped(monkeypatch, workers, cpus, pages, pool_size):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     corpus = _corpus_with_pages(
         {f"p{i}.html": page_bytes(fragments=[fragment(text=f"c{i}")]) for i in range(pages)}
     )
     rules = {"s1": make_rule()}
     assert slice_corpus(corpus.pages, rules, workers=workers) == slice_corpus(corpus.pages, rules)
-    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])

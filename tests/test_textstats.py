@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
+from comslice import textstats
 from comslice.slicer import SlicedPage
 from comslice.textstats import (
     corpus_token_counts,
@@ -84,6 +86,7 @@ def test_pure_numbers_tokenize_to_nothing():
     assert tokenize(b"<b>2017 2018</b>")[0] == []
 
 
+# the tokenizer's regexes before they were made linear: the references for its output
 _REF_SCRIPT_STYLE_RE = re.compile(
     r"<(script|style)\b[^>]*>.*?(?:</\1[^>]*>|\Z)", re.IGNORECASE | re.DOTALL
 )
@@ -133,6 +136,42 @@ def test_split_tokens_add_up_to_whole_page_tokens(page):
     main, comment = tokenize(data, stopwords, sections)
     assert Counter(main) + Counter(comment) == Counter(reference_tokenize(data, stopwords))
     assert tokenize(data, stopwords) == (reference_tokenize(data, stopwords), [])
+
+
+def _spaces(match: re.Match[str]) -> str:
+    return " " * len(match.group())
+
+
+markup_soup = st.lists(
+    st.sampled_from(
+        ["<", ">", "/", " ", "\n", "x", "<x", "<script", "<script>", "</script", "</script>",
+         "<STYLE a", "</style", "scripts", "<p>"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(markup_soup)
+def test_markup_blanking_matches_the_reference_regexes(text):
+    expected = _REF_TAG_RE.sub(_spaces, _REF_SCRIPT_STYLE_RE.sub(_spaces, text))
+    blanked = textstats._SCRIPT_STYLE_RE.sub(textstats._blank, text)
+    assert textstats._TAG_RE.sub(textstats._blank, blanked) == expected
+
+
+@pytest.mark.parametrize(
+    "raw, tokens",
+    [
+        (b"<x" * 500_000, []),  # tags that never close
+        (b"<script" * 142_858, ["script"] * 142_858),  # an unclosed tag is text
+        (b"<script>" + b"</script" * 125_000, []),  # end tags that never close
+    ],
+    ids=["tag", "script-start", "script-end"],
+)
+def test_tokenize_is_linear_on_markup_that_never_closes(raw, tokens):
+    started = time.perf_counter()
+    assert tokenize(raw, NO_STOPWORDS) == (tokens, [])
+    assert time.perf_counter() - started < 1.0
 
 
 # valid UTF-8 whose letters keep their length when lowercased, so a token's
