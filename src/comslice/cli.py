@@ -14,6 +14,8 @@ import argparse
 import csv
 import json
 import math
+import os
+import re
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -133,9 +135,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the files each subcommand writes directly under --out
+_OUTPUT_FILES = {
+    "slice-rough": ("error_report.csv", "error_summary.csv"),
+    "slice-precise": ("comments.jsonl", "error_report.csv", "error_summary.csv"),
+    "links": ("edges.csv",),
+    "crosstab": ("crosstab.csv",),
+    "graph": ("graph.gexf",),
+    "tokens": ("tokens_with_comments.csv", "tokens_without_comments.csv"),
+    "audit": ("audit.txt", "audit.csv", "audit_sites.csv"),
+}
+# ... and these also write every page under stripped/ and its sections under sections/
+_PAGE_WRITERS = ("slice-rough", "slice-precise")
+_SECTION_NUMBER_RE = re.compile(r"(?:0|[1-9][0-9]*)\.html")
+
+
+def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
+    """Raise ComsliceError if a file the subcommand may write is one of its inputs.
+
+    The inputs are the manifest, the encoding file, the stopword list and
+    every page file. Paths compare as strings under the realpaths of their
+    roots (the corpus root, --out, and --out's stripped/ and sections/), so
+    no page costs a stat.
+    """
+    real = os.path.realpath
+    inputs = {
+        real(path): f"{what} {path}"
+        for what, path in (
+            ("manifest", args.manifest),
+            ("encoding file", args.encoding),
+            ("stopword list", getattr(args, "stopwords", None)),
+        )
+        if path
+    }
+    root = real(args.corpus)
+    for page in corpus.pages:
+        inputs.setdefault(
+            f"{root}/{_pathlib_spelling(page.page_path)}",
+            f"page file {page.page_path} of --corpus {args.corpus}",
+        )
+    out = real(args.out)
+    outputs = [(real(f"{out}/{name}"), name) for name in _OUTPUT_FILES[args.command]]
+    if args.command in _PAGE_WRITERS:
+        stripped, sections = real(f"{out}/stripped"), real(f"{out}/sections")
+        outputs += (
+            (f"{stripped}/{_pathlib_spelling(page.page_path)}", f"stripped/{page.page_path}")
+            for page in corpus.pages
+        )
+        # a page's sections are numbered from 0: any number may be written
+        section_prefixes = {
+            f"{sections}/{_pathlib_spelling(page.page_path + '.section-')}": page.page_path
+            for page in corpus.pages
+        }
+        for path in inputs:
+            head, mark, number = path.rpartition(".section-")
+            if head + mark in section_prefixes and _SECTION_NUMBER_RE.fullmatch(number):
+                outputs.append((path, f"sections/{section_prefixes[head + mark]}.section-{number}"))
+    for path, name in outputs:
+        if path in inputs:
+            raise ComsliceError(
+                f"--out {args.out} would overwrite the {inputs[path]} with its {name}"
+            )
+
+
 def _load(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule]]:
     corpus = load_corpus(args.corpus, args.manifest)
     rules = parse_encoding_file(args.encoding)
+    _refuse_overwrite(args, corpus)
     return corpus, rules
 
 
@@ -152,15 +218,30 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
+def _pathlib_spelling(rel: str) -> str:
+    """A relative POSIX path as pathlib spells it: no empty and no ``.`` parts."""
+    parts = rel.split("/")
+    if "" in parts or "." in parts:
+        return "/".join(part for part in parts if part not in ("", ".")) or "."
+    return rel
+
+
 def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
+    made: set[str] = set()  # directories known to exist
+
+    def write(path: str, data: bytes) -> None:
+        folder = path.rpartition("/")[0]
+        if folder not in made:
+            os.makedirs(folder, exist_ok=True)
+            made.add(folder)
+        with open(path, "wb") as fh:
+            fh.write(data)
+
     for page in sliced:
-        stripped_path = out / "stripped" / page.page_path
-        stripped_path.parent.mkdir(parents=True, exist_ok=True)
-        stripped_path.write_bytes(page.stripped_bytes)
+        write(f"{out}/stripped/{_pathlib_spelling(page.page_path)}", page.stripped_bytes)
+        prefix = f"{out}/sections/{_pathlib_spelling(page.page_path + '.section-')}"
         for i, section in enumerate(page.sections_bytes):
-            section_path = out / "sections" / f"{page.page_path}.section-{i}.html"
-            section_path.parent.mkdir(parents=True, exist_ok=True)
-            section_path.write_bytes(section)
+            write(f"{prefix}{i}.html", section)
 
 
 def _write_error_report(report: ErrorReport, out: Path) -> None:

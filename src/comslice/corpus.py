@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
@@ -28,6 +30,8 @@ _HOST_END_RE = re.compile(r"[/?\\]")
 # the characters outside XML 1.0's Char production (https://www.w3.org/TR/xml/#charsets);
 # site ids and labels end up in graph.gexf, which must stay well-formed
 _NOT_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
 
 # host -> that host's (normalized prefix, site_id) pairs, longest prefix first
 SiteIndex = dict[str, tuple[tuple[str, str], ...]]
@@ -117,6 +121,7 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     """
     text = read_text(manifest, ManifestError, "manifest")
     root = Path(root)
+    root_dir = str(root)
     manifest = Path(manifest)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -204,12 +209,32 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
                 f"{first_site} (row {first_row}) and site {site_id} (row {lineno})"
             )
         seen[path] = (lineno, site_id)
-        file_path = root / page_path
-        if not file_path.is_file():
-            raise ManifestError(f"page file not found: {file_path}")
-        pages.append(Page(site_id=site_id, page_path=page_path, raw_bytes=file_path.read_bytes()))
+        raw = _read_regular_file(f"{root_dir}/{page_path}")
+        if raw is None:  # no readable regular file there: let pathlib say why
+            file_path = root / page_path
+            if not file_path.is_file():
+                raise ManifestError(f"page file not found: {file_path}")
+            raw = file_path.read_bytes()
+        pages.append(Page(site_id=site_id, page_path=page_path, raw_bytes=raw))
 
     return Corpus(registry=list(sites.values()), pages=pages)
+
+
+def _read_regular_file(path: str) -> bytes | None:
+    """The bytes of path if it is a regular file that opens, else None.
+
+    One open and one fstat, with no stat of the path first. O_NONBLOCK
+    (POSIX) keeps the open of a FIFO from waiting for a writer; a regular
+    file reads as without it.
+    """
+    try:
+        fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | _NONBLOCK))
+    except OSError:
+        return None
+    with fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return None
+        return fh.read()
 
 
 def _bare_host(host: str) -> str:

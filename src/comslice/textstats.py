@@ -15,21 +15,24 @@ import re
 from collections import Counter
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ComsliceError, read_text
 from .slicer import SlicedPage, Span
 
-# Each markup pattern also matches what is left when the end of the text cuts
-# it off (a tag with no '>', a script start tag with no '>'). _blank leaves
-# such an incomplete match as it is; matching it only skips start positions
-# that could not match either, so no scan re-reads the rest of the text.
+# _SCRIPT_STYLE_RE also matches a script or style start tag that the end of the
+# text cuts off (no '>'), and _blank leaves that as it is; matching it only skips
+# start positions that could not match either, so no scan re-reads the rest of
+# the text. _TAG_RE runs only on text that ends in '>', where every '<' has a
+# '>' after it, so no match fails.
 _SCRIPT_STYLE_RE = re.compile(
     r"<(script|style)\b[^>]*(>.*?(?:</\1[^>]*>?|\Z))?",
     re.IGNORECASE | re.DOTALL,
 )
-_TAG_RE = re.compile(r"<[^>]*>?")
-_WORD_RE = re.compile(r"[^\W\d_]{2,}")
+_TAG_RE = re.compile(r"<[^>]*>")
+# [^\W\d_]{2,}, spelled so that a scan over non-letters is cheaper
+_WORD_RE = re.compile(r"[^\W\d_][^\W\d_]+")
+_NO_STOPWORDS: frozenset[str] = frozenset()
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -59,15 +62,78 @@ def default_stopwords() -> frozenset[str]:
 
 
 def _blank(match: re.Match[str]) -> str:
-    """Spaces as long as a complete match, so character offsets survive the removal.
+    """Spaces as long as a complete script or style block, so character offsets survive.
 
-    A match is complete when it ends in '>' or its body (the script or
-    style pattern's group 2) took part.
+    A match is complete when it ends in '>' or its body (group 2) took part.
     """
     text = match[0]
     if text[-1] == ">" or match.lastindex == 2:
         return " " * len(text)
     return text
+
+
+def _strip_tags(text: str) -> str:
+    """text with each complete tag replaced by one space.
+
+    A tag that the end of text cuts off (a '<' with no '>' after it) stays
+    as text, like everything after the last '>'.
+    """
+    close = text.rfind(">") + 1
+    return _TAG_RE.sub(" ", text[:close]) + text[close:] if close else text
+
+
+def _char_offsets(data: bytes, offsets: Iterable[int]) -> Iterator[int]:
+    """``len(data[:offset].decode("utf-8", "replace"))`` for each of the sorted offsets.
+
+    The decoder starts afresh at every byte outside 0x80-0xBF, and at a byte
+    that follows three continuation bytes (0x80-0xBF), since no sequence is
+    longer than four bytes. A prefix's decoded length is therefore the sum
+    of the decoded lengths of its pieces between such split points, and each
+    byte is decoded once, plus at most three per offset.
+    """
+    end = len(data)
+    split = chars = 0  # a split point and the decoded length of data[:split]
+    for offset in offsets:
+        start = offset
+        while start > split and start < end and data[start] & 0xC0 == 0x80:
+            if start == offset - 3:  # data[offset - 3:offset + 1] all continue a sequence
+                start = offset
+                break
+            start -= 1
+        chars += len(data[split:start].decode("utf-8", errors="replace"))
+        split = start
+        yield chars + len(data[start:offset].decode("utf-8", errors="replace"))
+
+
+def _cuts(data: bytes, text: str, lowered: str, bounds: Iterable[int]) -> list[int]:
+    """0, each sorted byte bound as a position in lowered, and len(lowered).
+
+    A bound inside a complete tag moves past its '>', and one inside a word
+    to the word's end, so no cut splits a tag or a word. Each step scans
+    only the text between its cut and the one before.
+    """
+    same = len(lowered) == len(text)  # no character changed length when lowercased
+    last_close = lowered.rfind(">")
+    cuts = [0]
+    chars = at = 0  # a character of text and its position in lowered
+    for char in _char_offsets(data, bounds):
+        # len(s.lower()) does not depend on what surrounds s (İ lowercases to two)
+        at = char if same else at + len(text[chars:char].lower())
+        chars = char
+        cut = at
+        if cut <= cuts[-1]:  # at the previous cut, or in the tag or word it moved past
+            cut = cuts[-1]
+        elif cut <= last_close and (
+            lowered.rfind("<", cuts[-1], cut) > lowered.rfind(">", cuts[-1], cut)
+        ):  # inside a tag, and a '>' follows: the tag is complete
+            cut = lowered.index(">", cut) + 1
+        else:
+            word = _WORD_RE.match(lowered, cut - 1)
+            if word:
+                cut = word.end()
+        cuts.append(cut)
+    cuts.append(len(lowered))
+    return cuts
 
 
 def tokenize(
@@ -80,39 +146,39 @@ def tokenize(
     as-is; ``&eacute;`` simply tokenizes as ``eacute``. A token whose first
     byte lies in one of the sorted ``sections`` spans is a comment token
     (``SlicedPage.in_comment_section``); a span boundary never splits a word.
+    The work is linear in the page size and in the number of sections.
     """
     if stopwords is None:
         stopwords = default_stopwords()
-    text = data.decode("utf-8", errors="replace")
-    text = _SCRIPT_STYLE_RE.sub(_blank, text)
-    text = _TAG_RE.sub(_blank, text)
+    text = _SCRIPT_STYLE_RE.sub(_blank, data.decode("utf-8", errors="replace"))
     lowered = text.lower()
-    cuts = [0]
-    for offset in (bound for span in sections for bound in span):
-        # byte offset -> character of text -> position in lowered (İ lowercases to
-        # two characters); a cut inside a word moves to the word's end
-        chars = len(data[:offset].decode("utf-8", errors="replace"))
-        cut = len(text[:chars].lower())
-        word = _WORD_RE.match(lowered, cut - 1) if cut else None
-        cuts.append(word.end() if word else cut)
-    cuts.append(len(lowered))
+    cuts = _cuts(data, text, lowered, (bound for span in sections for bound in span))
     parts: tuple[list[str], list[str]] = ([], [])
     for i, (start, end) in enumerate(zip(cuts, cuts[1:])):
-        words = _WORD_RE.findall(lowered, start, end)
-        parts[i % 2].extend(t for t in words if t not in stopwords)
+        words = _WORD_RE.findall(_strip_tags(lowered[start:end]))
+        parts[i % 2].extend([t for t in words if t not in stopwords] if stopwords else words)
     return parts
 
 
 def corpus_token_counts(
     pages: Iterable[SlicedPage], stopwords: frozenset[str] | None = None
 ) -> tuple[Counter[str], Counter[str]]:
-    """Token counts over many pages, as (main, comment); their sum counts whole pages."""
+    """Token counts over many pages, as (main, comment); their sum counts whole pages.
+
+    Pages are tokenized with no stopwords; the stopwords are dropped from the
+    two tables once, at the end.
+    """
+    if stopwords is None:
+        stopwords = default_stopwords()
     main: Counter[str] = Counter()
     comment: Counter[str] = Counter()
     for page in pages:
-        page_main, page_comment = tokenize(page.raw_bytes, stopwords, page.section_spans)
+        page_main, page_comment = tokenize(page.raw_bytes, _NO_STOPWORDS, page.section_spans)
         main.update(page_main)
         comment.update(page_comment)
+    for counts in (main, comment):
+        for word in stopwords.intersection(counts):
+            del counts[word]
     return main, comment
 
 

@@ -7,10 +7,14 @@ import csv
 import json
 import os
 import re
+from pathlib import PurePosixPath
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from comslice import cli
 from comslice.cli import run
 from comslice.encoding import write_encoding_file
 
@@ -483,3 +487,113 @@ def test_out_of_range_values_exit_2(workspace, capsys, command, option, value, s
     if status == 2:
         assert option in capsys.readouterr().err
         assert not workspace["out"].exists()
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_out_over_the_corpus_it_reads_exits_1_and_writes_nothing(workspace, capsys):
+    ws = workspace["out"]
+    assert run(base_args(workspace, "slice-rough")) == 0
+    before = _tree(ws)
+    # the stripped pages as a corpus, written back over themselves
+    args = base_args(workspace, "slice-rough")
+    args[args.index("--corpus") + 1] = str(ws / "stripped")
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {ws} would overwrite the page file ")
+    assert f"of --corpus {ws / 'stripped'} with its stripped/" in err
+    assert _tree(ws) == before
+
+
+@pytest.mark.parametrize(
+    "command, option, output",
+    [
+        ("links", "--manifest", "edges.csv"),
+        ("slice-precise", "--encoding", "comments.jsonl"),
+        ("tokens", "--stopwords", "tokens_without_comments.csv"),
+        ("audit", "--stopwords", "audit.txt"),
+    ],
+)
+def test_out_over_a_configuration_file_exits_1(workspace, capsys, command, option, output):
+    args = base_args(workspace, command)
+    config = workspace["out"] / output
+    config.parent.mkdir()
+    source = {"--manifest": workspace["manifest"], "--encoding": workspace["encoding"]}.get(option)
+    config.write_bytes(source.read_bytes() if source else b"le\n")
+    if option in args:
+        args[args.index(option) + 1] = str(config)
+    else:
+        args += [option, str(config)]
+    before = config.read_bytes()
+    assert run(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: --out {workspace['out']} would overwrite the ")
+    assert config.read_bytes() == before
+    assert [p.name for p in workspace["out"].iterdir()] == [output]
+
+
+def test_out_over_a_page_named_like_a_section_file_exits_1(workspace, capsys):
+    # corpus root = out/sections: page a.html's first section would land on page a.html.section-0.html
+    out = workspace["out"]
+    sections = out / "sections"
+    sections.mkdir(parents=True)
+    raw = workspace["pages"][("alpha", "alpha/a1.html")]
+    for name in ("a.html", "a.html.section-0.html"):
+        (sections / name).write_bytes(raw)
+    manifest = out.parent / "sections-manifest.csv"
+    manifest.write_text(
+        "site_id,label,page_path,url_prefixes\nalpha,blog,,alpha.example.org\n"
+        "alpha,,a.html,\nalpha,,a.html.section-0.html,\n",
+        encoding="utf-8",
+    )
+    args = base_args(workspace, "slice-rough")
+    args[args.index("--corpus") + 1] = str(sections)
+    args[args.index("--manifest") + 1] = str(manifest)
+    assert run(args) == 1
+    assert "with its sections/a.html.section-0.html" in capsys.readouterr().err
+    assert sorted(p.name for p in sections.iterdir()) == ["a.html", "a.html.section-0.html"]
+
+
+def test_out_whose_stripped_tree_links_to_the_corpus_exits_1(workspace, capsys):
+    workspace["out"].mkdir()
+    (workspace["out"] / "stripped").symlink_to(workspace["root"], target_is_directory=True)
+    before = _tree(workspace["root"])
+    assert run(base_args(workspace, "slice-precise")) == 1
+    assert "would overwrite the page file alpha/a1.html" in capsys.readouterr().err
+    assert _tree(workspace["root"]) == before
+
+
+@pytest.mark.parametrize("command", sorted(cli._OUTPUT_FILES))
+def test_each_subcommand_writes_the_files_it_declares(workspace, command):
+    assert run(base_args(workspace, command)) == 0
+    written = {p.name for p in workspace["out"].iterdir()}
+    trees = {"stripped", "sections"} if command in cli._PAGE_WRITERS else set()
+    assert written == set(cli._OUTPUT_FILES[command]) | trees
+
+
+def test_page_paths_are_written_where_pathlib_puts_them(tmp_path):
+    pages = {
+        ("alpha", "alpha/./a.html"): page_bytes(fragments=[fragment(text="un")]),
+        ("alpha", "alpha//b.html"): page_bytes(fragments=[fragment(text="deux")]),
+        ("alpha", "c.html/"): page_bytes(fragments=[fragment(text="trois")]),
+    }
+    root, manifest = write_corpus(
+        tmp_path, sites={"alpha": ("blog", ["alpha.example.org"])}, pages=pages
+    )
+    encoding = tmp_path / "encoding.csv"
+    write_encoding_file({"alpha": make_rule(site_id="alpha", label="blog")}, encoding)
+    ws = {"root": root, "manifest": manifest, "encoding": encoding, "out": tmp_path / "out"}
+    assert run(base_args(ws, "slice-rough")) == 0
+    assert sorted(str(p) for p in _tree(ws["out"] / "stripped")) == ["alpha/a.html", "alpha/b.html", "c.html"]
+    assert sorted(str(p) for p in _tree(ws["out"] / "sections")) == [
+        "alpha/a.html.section-0.html", "alpha/b.html.section-0.html", "c.html/.section-0.html"
+    ]
+
+
+@given(st.lists(st.sampled_from(["a", "b.html", ".", "..x", "", ".section-"]), min_size=1, max_size=6))
+def test_pathlib_spelling_matches_pathlib(parts):
+    rel = "/".join(parts)
+    if rel.startswith("/"):  # page paths are relative
+        return
+    assert cli._pathlib_spelling(rel) == str(PurePosixPath(rel))

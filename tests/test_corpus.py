@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 import re
 from urllib.parse import urlsplit
 
@@ -60,6 +61,33 @@ def test_missing_page_file_is_fatal(tmp_path):
     (root / "s1/p.html").unlink()
     with pytest.raises(ManifestError, match="p.html"):
         load_corpus(root, manifest)
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_page_that_is_not_a_regular_file_is_fatal(tmp_path, kind):
+    root, manifest = write_corpus(
+        tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): b"x"}
+    )
+    (root / "s1/p.html").unlink()
+    if kind == "directory":
+        (root / "s1/p.html").mkdir()
+    else:
+        os.mkfifo(root / "s1/p.html")  # opening it must not wait for a writer
+    with pytest.raises(ManifestError, match=re.escape(f"page file not found: {root / 's1/p.html'}")):
+        load_corpus(root, manifest)
+
+
+def test_page_path_is_read_where_pathlib_finds_it(tmp_path):
+    root, manifest = write_corpus(
+        tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): b"x"}
+    )
+    manifest.write_text(
+        "site_id,label,page_path,url_prefixes\ns1,blog,,s1.org\ns1,,s1/./p.html/,\n",
+        encoding="utf-8",
+    )
+    assert [(p.page_path, p.raw_bytes) for p in load_corpus(str(root) + "/", manifest).pages] == [
+        ("s1/./p.html/", b"x")
+    ]
 
 
 def test_unknown_site_for_page_is_fatal(tmp_path):

@@ -154,9 +154,10 @@ markup_soup = st.lists(
 @settings(max_examples=300)
 @given(markup_soup)
 def test_markup_blanking_matches_the_reference_regexes(text):
-    expected = _REF_TAG_RE.sub(_spaces, _REF_SCRIPT_STYLE_RE.sub(_spaces, text))
+    # script and style blocks turn into spaces of their length, every complete tag into one space
+    expected = _REF_TAG_RE.sub(" ", _REF_SCRIPT_STYLE_RE.sub(_spaces, text))
     blanked = textstats._SCRIPT_STYLE_RE.sub(textstats._blank, text)
-    assert textstats._TAG_RE.sub(textstats._blank, blanked) == expected
+    assert textstats._strip_tags(blanked) == expected
 
 
 @pytest.mark.parametrize(
@@ -172,6 +173,102 @@ def test_tokenize_is_linear_on_markup_that_never_closes(raw, tokens):
     started = time.perf_counter()
     assert tokenize(raw, NO_STOPWORDS) == (tokens, [])
     assert time.perf_counter() - started < 1.0
+
+
+# the tokenizer before each page took linear time: it blanked every tag through a
+# callback and decoded data[:offset] once per section bound. The reference for
+# tokenize's (main, comment) lists.
+_OLD_SCRIPT_STYLE_RE = re.compile(
+    r"<(script|style)\b[^>]*(>.*?(?:</\1[^>]*>?|\Z))?",
+    re.IGNORECASE | re.DOTALL,
+)
+_OLD_TAG_RE = re.compile(r"<[^>]*>?")
+_OLD_WORD_RE = re.compile(r"[^\W\d_]{2,}")
+
+
+def _old_blank(match: re.Match[str]) -> str:
+    text = match[0]
+    if text[-1] == ">" or match.lastindex == 2:
+        return " " * len(text)
+    return text
+
+
+def old_tokenize(
+    data: bytes, stopwords: frozenset[str] | None = None, sections=()
+) -> tuple[list[str], list[str]]:
+    if stopwords is None:
+        stopwords = default_stopwords()
+    text = data.decode("utf-8", errors="replace")
+    text = _OLD_SCRIPT_STYLE_RE.sub(_old_blank, text)
+    text = _OLD_TAG_RE.sub(_old_blank, text)
+    lowered = text.lower()
+    cuts = [0]
+    for offset in (bound for span in sections for bound in span):
+        chars = len(data[:offset].decode("utf-8", errors="replace"))
+        cut = len(text[:chars].lower())
+        word = _OLD_WORD_RE.match(lowered, cut - 1) if cut else None
+        cuts.append(word.end() if word else cut)
+    cuts.append(len(lowered))
+    parts: tuple[list[str], list[str]] = ([], [])
+    for i, (start, end) in enumerate(zip(cuts, cuts[1:])):
+        words = _OLD_WORD_RE.findall(lowered, start, end)
+        parts[i % 2].extend(t for t in words if t not in stopwords)
+    return parts
+
+
+# pieces that put section bounds inside tags, words and characters: İ lowercases
+# to two characters, Σ before '.' to a final ς, and an attribute can hold
+# '<script>' or lose its '>'
+tricky_html = st.lists(
+    st.sampled_from(
+        [
+            b"<p>", b"</p>", b"<b title='", b"'>", b'<a title="<script>x">', b"<script>",
+            b"</script>", b"<script", b"</script", b"<style>", b"</STYLE>", b"<", b">",
+            b" ", b".", b"'", b"ab", b"Mot", b"le", b"x1_", "é".encode(), "İ".encode(),
+            "İİ".encode(), "Σ".encode(), "ΑΣ.".encode(), "ΑΣ".encode(), "€".encode(),
+            b"\xe2\x82", b"\xff", b"\x80", b"\xc3", b"\xa9", b"\xed\xa0", b"\xe0\x80",
+            b"\xf0\x90", b"\xf4\x8f\xbf", b"\x80\x80\x80\x80\x80",
+        ]
+    )
+    | st.binary(max_size=4),
+    max_size=25,
+).map(b"".join)
+
+
+@st.composite
+def tricky_page(draw):
+    data = draw(tricky_html)
+    bounds = sorted(draw(st.lists(st.integers(0, len(data)), max_size=8)))
+    return data, tuple(zip(bounds[::2], bounds[1::2]))
+
+
+@settings(max_examples=1000)
+@given(tricky_page(), st.sampled_from([frozenset(), frozenset({"le", "ab", "mot"}), None]))
+def test_tokenize_matches_the_tokenizer_it_replaced(page, stopwords):
+    data, sections = page
+    assert tokenize(data, stopwords, sections) == old_tokenize(data, stopwords, sections)
+
+
+@settings(max_examples=500)
+@given(tricky_html, st.lists(st.integers(0, 200), max_size=8))
+def test_char_offsets_match_the_prefix_decode(data, offsets):
+    offsets = sorted(o % (len(data) + 1) for o in offsets)
+    expected = [len(data[:o].decode("utf-8", errors="replace")) for o in offsets]
+    assert list(textstats._char_offsets(data, offsets)) == expected
+
+
+def test_tokenize_is_linear_in_the_number_of_sections():
+    # about 1 MB, not ASCII, İ changes the length when lowercased; bounds fall
+    # inside tags, words and characters
+    unit = "<p class='x'>Le café İci est prêt déjà</p>\n".encode()
+    data = unit * (1_000_000 // len(unit))
+    bounds = range(7, len(data), len(data) // 8000)
+    sections = tuple(zip(bounds[::2], bounds[1::2]))[:4000]
+    started = time.perf_counter()
+    main, comment = tokenize(data, NO_STOPWORDS, sections)
+    assert time.perf_counter() - started < 1.0
+    assert len(sections) == 4000
+    assert Counter(main) + Counter(comment) == Counter(reference_tokenize(data, NO_STOPWORDS))
 
 
 # valid UTF-8 whose letters keep their length when lowercased, so a token's
