@@ -564,6 +564,27 @@ def test_out_whose_stripped_tree_links_to_the_corpus_exits_1(workspace, capsys):
     assert _tree(workspace["root"]) == before
 
 
+_COMMON_DEFAULTS = {"corpus": "C", "manifest": "M", "encoding": "E", "out": "out", "workers": 1}
+_THRESHOLDS = {"link_noise": 0.05, "token_noise": 0.05, "text_divergence": 0.05}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("slice-rough", {}),
+        ("slice-precise", {}),
+        ("links", {}),
+        ("crosstab", {}),
+        ("graph", {"include_comments": False}),
+        ("tokens", {"top_k": 100, "stopwords": None}),
+        ("audit", {"sample_n": 100, "seed": 0, **_THRESHOLDS, "stopwords": None}),
+    ],
+)
+def test_each_subcommand_parses_to_its_options_and_defaults(command, extra):
+    args = cli.build_parser().parse_args([command, "--corpus", "C", "--manifest", "M", "--encoding", "E"])
+    assert vars(args) == {"command": command, **_COMMON_DEFAULTS, **extra}
+
+
 @pytest.mark.parametrize("command", sorted(cli._OUTPUT_FILES))
 def test_each_subcommand_writes_the_files_it_declares(workspace, command):
     assert run(base_args(workspace, command)) == 0
