@@ -87,22 +87,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="slice comment sections out of a crawled corpus and "
         "audit the bias they add to link and text analyses",
     )
+    # each subcommand declares the handler that run calls, the files it writes
+    # directly under --out, and whether it also writes every page under stripped/
+    # and its sections under sections/; the overwrite guard reads the last two
     sub = parser.add_subparsers(dest="command", required=True)
+    error_files = ("error_report.csv", "error_summary.csv")
 
     p = sub.add_parser("slice-rough", help="split pages into stripped content and comment sections")
     _add_common(p)
+    p.set_defaults(handler=_cmd_slice_rough, outputs=error_files, page_trees=True)
 
     p = sub.add_parser("slice-precise", help="slice-rough plus per-comment field extraction")
     _add_common(p)
+    p.set_defaults(
+        handler=_cmd_slice_precise, outputs=("comments.jsonl", *error_files), page_trees=True
+    )
 
     p = sub.add_parser("links", help="extract every hyperlink with its location")
     _add_common(p)
+    p.set_defaults(handler=_cmd_links, outputs=("edges.csv",), page_trees=False)
 
     p = sub.add_parser("crosstab", help="count links between site labels, inside vs outside comments")
     _add_common(p)
+    p.set_defaults(handler=_cmd_crosstab, outputs=("crosstab.csv",), page_trees=False)
 
     p = sub.add_parser("graph", help="build the mutual-link site graph as GEXF")
     _add_common(p)
+    p.set_defaults(handler=_cmd_graph, outputs=("graph.gexf",), page_trees=False)
     p.add_argument(
         "--include-comments",
         action="store_true",
@@ -111,6 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tokens", help="top token counts with and without comment sections")
     _add_common(p)
+    p.set_defaults(
+        handler=_cmd_tokens,
+        outputs=("tokens_with_comments.csv", "tokens_without_comments.csv"),
+        page_trees=False,
+    )
     p.add_argument(
         "--top-k", type=_positive_int, default=100, help="rows per table (default: 100)"
     )
@@ -118,6 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="sample the corpus and decide whether slicing is needed")
     _add_common(p)
+    p.set_defaults(
+        handler=_cmd_audit, outputs=("audit.txt", "audit.csv", "audit_sites.csv"), page_trees=False
+    )
     p.add_argument(
         "--sample-n", type=_positive_int, default=100, help="pages to sample (default: 100)"
     )
@@ -135,18 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the files each subcommand writes directly under --out
-_OUTPUT_FILES = {
-    "slice-rough": ("error_report.csv", "error_summary.csv"),
-    "slice-precise": ("comments.jsonl", "error_report.csv", "error_summary.csv"),
-    "links": ("edges.csv",),
-    "crosstab": ("crosstab.csv",),
-    "graph": ("graph.gexf",),
-    "tokens": ("tokens_with_comments.csv", "tokens_without_comments.csv"),
-    "audit": ("audit.txt", "audit.csv", "audit_sites.csv"),
-}
-# ... and these also write every page under stripped/ and its sections under sections/
-_PAGE_WRITERS = ("slice-rough", "slice-precise")
 _SECTION_NUMBER_RE = re.compile(r"(?:0|[1-9][0-9]*)\.html")
 
 
@@ -175,8 +182,8 @@ def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
             f"page file {page.page_path} of --corpus {args.corpus}",
         )
     out = real(args.out)
-    outputs = [(real(f"{out}/{name}"), name) for name in _OUTPUT_FILES[args.command]]
-    if args.command in _PAGE_WRITERS:
+    outputs = [(real(f"{out}/{name}"), name) for name in args.outputs]
+    if args.page_trees:
         stripped, sections = real(f"{out}/stripped"), real(f"{out}/sections")
         outputs += (
             (f"{stripped}/{_pathlib_spelling(page.page_path)}", f"stripped/{page.page_path}")
@@ -201,6 +208,12 @@ def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
 def _load(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule]]:
     corpus = load_corpus(args.corpus, args.manifest)
     rules = parse_encoding_file(args.encoding)
+    for site_id, rule in rules.items():
+        if site_id in corpus.labels and rule.label != corpus.labels[site_id]:
+            raise ComsliceError(
+                f"encoding file {args.encoding} labels site {site_id} {rule.label!r}, "
+                f"but manifest {args.manifest} labels it {corpus.labels[site_id]!r}"
+            )
     _refuse_overwrite(args, corpus)
     return corpus, rules
 
@@ -402,17 +415,6 @@ def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-_HANDLERS = {
-    "slice-rough": _cmd_slice_rough,
-    "slice-precise": _cmd_slice_precise,
-    "links": _cmd_links,
-    "crosstab": _cmd_crosstab,
-    "graph": _cmd_graph,
-    "tokens": _cmd_tokens,
-    "audit": _cmd_audit,
-}
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and run one subcommand; returns the exit status."""
     parser = build_parser()
@@ -423,7 +425,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](args, out)
+        return args.handler(args, out)
     except (ComsliceError, OSError) as exc:  # OSError: e.g. --out names a file
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,9 +2,10 @@
 
 The tokenizer is deliberately small and deterministic: decode, drop
 script/style blocks, turn the remaining tags into spaces, lowercase,
-keep runs of letters of length two or more, drop stopwords. A page is
-tokenized once, whole; each token goes to main content or to the comments
-by the byte where it starts, so the two parts add up to the whole page.
+keep runs of letters of length two or more. A page is tokenized once,
+whole; each token goes to main content or to the comments by the byte
+where it starts, so the two parts add up to the whole page. Stopwords
+are dropped from the token tables, not by the tokenizer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ _SCRIPT_STYLE_RE = re.compile(
 _TAG_RE = re.compile(r"<[^>]*>")
 # [^\W\d_]{2,}, spelled so that a scan over non-letters is cheaper
 _WORD_RE = re.compile(r"[^\W\d_][^\W\d_]+")
-_NO_STOPWORDS: frozenset[str] = frozenset()
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -136,27 +136,23 @@ def _cuts(data: bytes, text: str, lowered: str, bounds: Iterable[int]) -> list[i
     return cuts
 
 
-def tokenize(
-    data: bytes, stopwords: frozenset[str] | None = None, sections: Sequence[Span] = ()
-) -> tuple[list[str], list[str]]:
+def tokenize(data: bytes, sections: Sequence[Span] = ()) -> tuple[list[str], list[str]]:
     """Turn raw HTML bytes into lowercase word tokens, split as (main, comment).
 
     Tokens are maximal runs of Unicode letters (no digits, no underscore)
-    at least two characters long, minus stopwords. HTML entities are left
-    as-is; ``&eacute;`` simply tokenizes as ``eacute``. A token whose first
-    byte lies in one of the sorted ``sections`` spans is a comment token
+    at least two characters long, stopwords included: corpus_token_counts
+    drops those from its tables. HTML entities are left as-is;
+    ``&eacute;`` simply tokenizes as ``eacute``. A token whose first byte
+    lies in one of the sorted ``sections`` spans is a comment token
     (``SlicedPage.in_comment_section``); a span boundary never splits a word.
     The work is linear in the page size and in the number of sections.
     """
-    if stopwords is None:
-        stopwords = default_stopwords()
     text = _SCRIPT_STYLE_RE.sub(_blank, data.decode("utf-8", errors="replace"))
     lowered = text.lower()
     cuts = _cuts(data, text, lowered, (bound for span in sections for bound in span))
     parts: tuple[list[str], list[str]] = ([], [])
     for i, (start, end) in enumerate(zip(cuts, cuts[1:])):
-        words = _WORD_RE.findall(_strip_tags(lowered[start:end]))
-        parts[i % 2].extend([t for t in words if t not in stopwords] if stopwords else words)
+        parts[i % 2].extend(_WORD_RE.findall(_strip_tags(lowered[start:end])))
     return parts
 
 
@@ -165,7 +161,7 @@ def corpus_token_counts(
 ) -> tuple[Counter[str], Counter[str]]:
     """Token counts over many pages, as (main, comment); their sum counts whole pages.
 
-    Pages are tokenized with no stopwords; the stopwords are dropped from the
+    The stopwords (by default the bundled French list) are dropped from the
     two tables once, at the end.
     """
     if stopwords is None:
@@ -173,7 +169,7 @@ def corpus_token_counts(
     main: Counter[str] = Counter()
     comment: Counter[str] = Counter()
     for page in pages:
-        page_main, page_comment = tokenize(page.raw_bytes, _NO_STOPWORDS, page.section_spans)
+        page_main, page_comment = tokenize(page.raw_bytes, page.section_spans)
         main.update(page_main)
         comment.update(page_comment)
     for counts in (main, comment):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -317,6 +318,23 @@ def test_bad_encoding_file_exits_1(workspace, capsys):
     assert "encoding" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["slice-rough", "audit"])
+def test_encoding_label_that_disagrees_with_the_manifest_exits_1(workspace, capsys, command):
+    write_encoding_file(
+        {
+            "alpha": make_precise_rule(site_id="alpha", label="blog"),
+            "beta": make_precise_rule(site_id="beta", label="news"),  # the manifest says press
+        },
+        workspace["encoding"],
+    )
+    assert run(base_args(workspace, command)) == 1
+    assert capsys.readouterr().err == (
+        f"error: encoding file {workspace['encoding']} labels site beta 'news', "
+        f"but manifest {workspace['manifest']} labels it 'press'\n"
+    )
+    assert list(workspace["out"].iterdir()) == []
+
+
 LATIN1 = "café".encode("latin-1")
 
 
@@ -564,33 +582,45 @@ def test_out_whose_stripped_tree_links_to_the_corpus_exits_1(workspace, capsys):
     assert _tree(workspace["root"]) == before
 
 
-_COMMON_DEFAULTS = {"corpus": "C", "manifest": "M", "encoding": "E", "out": "out", "workers": 1}
-_THRESHOLDS = {"link_noise": 0.05, "token_noise": 0.05, "text_divergence": 0.05}
+def _subcommands() -> list[str]:
+    """Every subcommand build_parser() declares, sorted."""
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(subparsers.choices)
 
 
-@pytest.mark.parametrize(
-    "command, extra",
-    [
-        ("slice-rough", {}),
-        ("slice-precise", {}),
-        ("links", {}),
-        ("crosstab", {}),
-        ("graph", {"include_comments": False}),
-        ("tokens", {"top_k": 100, "stopwords": None}),
-        ("audit", {"sample_n": 100, "seed": 0, **_THRESHOLDS, "stopwords": None}),
-    ],
-)
-def test_each_subcommand_parses_to_its_options_and_defaults(command, extra):
+# each subcommand's options beyond the common ones, with their defaults
+_EXTRA_OPTIONS = {
+    "slice-rough": {},
+    "slice-precise": {},
+    "links": {},
+    "crosstab": {},
+    "graph": {"include_comments": False},
+    "tokens": {"top_k": 100, "stopwords": None},
+    "audit": {
+        "sample_n": 100, "seed": 0, "link_noise": 0.05, "token_noise": 0.05, "text_divergence": 0.05,
+        "stopwords": None,
+    },
+}
+# what a subcommand declares for run and for the overwrite guard, not options
+_DECLARATION = ("handler", "outputs", "page_trees")
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_each_subcommand_parses_to_its_options_and_defaults(command):
     args = cli.build_parser().parse_args([command, "--corpus", "C", "--manifest", "M", "--encoding", "E"])
-    assert vars(args) == {"command": command, **_COMMON_DEFAULTS, **extra}
+    options = {name: value for name, value in vars(args).items() if name not in _DECLARATION}
+    common = {"corpus": "C", "manifest": "M", "encoding": "E", "out": "out", "workers": 1}
+    assert options == {"command": command, **common, **_EXTRA_OPTIONS[command]}
 
 
-@pytest.mark.parametrize("command", sorted(cli._OUTPUT_FILES))
+@pytest.mark.parametrize("command", _subcommands())
 def test_each_subcommand_writes_the_files_it_declares(workspace, command):
-    assert run(base_args(workspace, command)) == 0
+    args = base_args(workspace, command)
+    declared = cli.build_parser().parse_args(args)
+    assert run(args) == 0
     written = {p.name for p in workspace["out"].iterdir()}
-    trees = {"stripped", "sections"} if command in cli._PAGE_WRITERS else set()
-    assert written == set(cli._OUTPUT_FILES[command]) | trees
+    trees = {"stripped", "sections"} if declared.page_trees else set()
+    assert written == set(declared.outputs) | trees
 
 
 def test_page_paths_are_written_where_pathlib_puts_them(tmp_path):

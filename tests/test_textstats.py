@@ -27,7 +27,7 @@ NO_STOPWORDS: frozenset[str] = frozenset()
 
 
 def test_tags_become_separators():
-    assert tokenize(b"ab<br>cd", NO_STOPWORDS)[0] == ["ab", "cd"]
+    assert tokenize(b"ab<br>cd")[0] == ["ab", "cd"]
 
 
 def test_script_and_style_blocks_vanish():
@@ -35,23 +35,23 @@ def test_script_and_style_blocks_vanish():
         b"<p>garde</p><script type='x'>var secret = 1;</script>"
         b"<STYLE>body { color: red }</STYLE><p>aussi</p>"
     )
-    assert tokenize(raw, NO_STOPWORDS)[0] == ["garde", "aussi"]
+    assert tokenize(raw)[0] == ["garde", "aussi"]
 
 
 def test_unterminated_script_swallows_the_tail():
-    assert tokenize(b"<p>avant</p><script>var x = 'oops';", NO_STOPWORDS)[0] == ["avant"]
+    assert tokenize(b"<p>avant</p><script>var x = 'oops';")[0] == ["avant"]
 
 
 def test_lowercase_and_short_tokens_dropped():
-    assert tokenize(b"Grand A et Petit", NO_STOPWORDS)[0] == ["grand", "et", "petit"]
+    assert tokenize(b"Grand A et Petit")[0] == ["grand", "et", "petit"]
 
 
 def test_digits_and_underscores_break_tokens():
-    assert tokenize(b"abc123def mot_cle v2", NO_STOPWORDS)[0] == ["abc", "def", "mot", "cle"]
+    assert tokenize(b"abc123def mot_cle v2")[0] == ["abc", "def", "mot", "cle"]
 
 
 def test_accented_letters_are_kept():
-    assert tokenize("Santé publique à Genève".encode(), NO_STOPWORDS)[0] == [
+    assert tokenize("Santé publique à Genève".encode())[0] == [
         "santé",
         "publique",
         "genève",
@@ -59,23 +59,28 @@ def test_accented_letters_are_kept():
 
 
 def test_entities_are_not_decoded():
-    assert tokenize(b"caf&eacute; &amp; th&eacute;", NO_STOPWORDS)[0] == ["caf", "eacute", "amp", "th", "eacute"]
+    assert tokenize(b"caf&eacute; &amp; th&eacute;")[0] == ["caf", "eacute", "amp", "th", "eacute"]
+
+
+def _page(raw: bytes, sections=()) -> SlicedPage:
+    return SlicedPage(site_id="s", page_path="p", raw_bytes=raw, section_spans=sections)
 
 
 def test_default_french_stopwords_apply():
-    assert tokenize(b"le vaccin et la peur sont dans les esprits")[0] == [
-        "vaccin",
-        "peur",
-        "esprits",
-    ]
+    raw = b"le vaccin et la peur sont dans les esprits"
+    assert tokenize(raw)[0] == ["le", "vaccin", "et", "la", "peur", "sont", "dans", "les", "esprits"]
+    main, comment = corpus_token_counts([_page(raw)])
+    assert (main, comment) == (Counter({"vaccin": 1, "peur": 1, "esprits": 1}), Counter())
 
 
 def test_bad_utf8_is_replaced_not_fatal():
-    assert tokenize(b"caf\xe9 noir", NO_STOPWORDS)[0] == ["caf", "noir"]
+    assert tokenize(b"caf\xe9 noir")[0] == ["caf", "noir"]
 
 
 def test_repeated_word_survives_case_and_stopwords():
-    assert tokenize(b"<p>Le vaccin, le VACCIN!</p>")[0] == ["vaccin", "vaccin"]
+    raw = b"<p>Le vaccin, le VACCIN!</p>"
+    assert tokenize(raw)[0] == ["le", "vaccin", "le", "vaccin"]
+    assert corpus_token_counts([_page(raw)])[0] == Counter({"vaccin": 2})
 
 
 def test_empty_input_tokenizes_to_nothing():
@@ -132,10 +137,13 @@ def page_with_sections(draw):
 @given(page_with_sections())
 def test_split_tokens_add_up_to_whole_page_tokens(page):
     data, sections = page
+    main, comment = tokenize(data, sections)
+    assert Counter(main) + Counter(comment) == Counter(reference_tokenize(data, NO_STOPWORDS))
+    assert tokenize(data) == (reference_tokenize(data, NO_STOPWORDS), [])
+    # the token tables drop the stopwords
     stopwords = frozenset({"le"})
-    main, comment = tokenize(data, stopwords, sections)
-    assert Counter(main) + Counter(comment) == Counter(reference_tokenize(data, stopwords))
-    assert tokenize(data, stopwords) == (reference_tokenize(data, stopwords), [])
+    main_counts, comment_counts = corpus_token_counts([_page(data, sections)], stopwords)
+    assert main_counts + comment_counts == Counter(reference_tokenize(data, stopwords))
 
 
 def _spaces(match: re.Match[str]) -> str:
@@ -171,7 +179,7 @@ def test_markup_blanking_matches_the_reference_regexes(text):
 )
 def test_tokenize_is_linear_on_markup_that_never_closes(raw, tokens):
     started = time.perf_counter()
-    assert tokenize(raw, NO_STOPWORDS) == (tokens, [])
+    assert tokenize(raw) == (tokens, [])
     assert time.perf_counter() - started < 1.0
 
 
@@ -246,7 +254,12 @@ def tricky_page(draw):
 @given(tricky_page(), st.sampled_from([frozenset(), frozenset({"le", "ab", "mot"}), None]))
 def test_tokenize_matches_the_tokenizer_it_replaced(page, stopwords):
     data, sections = page
-    assert tokenize(data, stopwords, sections) == old_tokenize(data, stopwords, sections)
+    # the old tokenizer dropped the stopwords itself, the default list for None
+    dropped = default_stopwords() if stopwords is None else stopwords
+    main, comment = tokenize(data, sections)
+    assert ([t for t in main if t not in dropped], [t for t in comment if t not in dropped]) == (
+        old_tokenize(data, stopwords, sections)
+    )
 
 
 @settings(max_examples=500)
@@ -265,7 +278,7 @@ def test_tokenize_is_linear_in_the_number_of_sections():
     bounds = range(7, len(data), len(data) // 8000)
     sections = tuple(zip(bounds[::2], bounds[1::2]))[:4000]
     started = time.perf_counter()
-    main, comment = tokenize(data, NO_STOPWORDS, sections)
+    main, comment = tokenize(data, sections)
     assert time.perf_counter() - started < 1.0
     assert len(sections) == 4000
     assert Counter(main) + Counter(comment) == Counter(reference_tokenize(data, NO_STOPWORDS))
@@ -292,28 +305,28 @@ def test_token_goes_where_its_first_byte_lies(data, bounds):
         if len(m.group()) >= 2:
             start = len(original[: m.start()].encode())
             expected[page.in_comment_section(start)].append(m.group())
-    assert tokenize(data, NO_STOPWORDS, sections) == expected
+    assert tokenize(data, sections) == expected
 
 
 def test_removed_section_never_joins_words():
     raw = b'<p>bonjour<div id="comments">salut<!-- END -->monde</p>'
     section = (raw.index(b"<div"), raw.index(b"monde"))
-    assert tokenize(raw, NO_STOPWORDS, (section,)) == (["bonjour", "monde"], ["salut"])
+    assert tokenize(raw, (section,)) == (["bonjour", "monde"], ["salut"])
 
 
 def test_section_inside_script_adds_no_tokens():
     raw = b'<p>texte</p><script><div id="comments">cache<!-- END --></script><p>fin</p>'
     section = (raw.index(b"<div"), raw.index(b"</script>"))
-    assert tokenize(raw, NO_STOPWORDS, (section,)) == (["texte", "fin"], [])
+    assert tokenize(raw, (section,)) == (["texte", "fin"], [])
 
 
 def test_word_cut_by_a_section_boundary_stays_where_it_starts():
     raw = b"avant parole suite"
-    assert tokenize(raw, NO_STOPWORDS, ((9, 15),)) == (["avant", "parole"], ["suite"])
-    assert tokenize(raw, NO_STOPWORDS, ((6, 9),)) == (["avant", "suite"], ["parole"])
+    assert tokenize(raw, ((9, 15),)) == (["avant", "parole"], ["suite"])
+    assert tokenize(raw, ((6, 9),)) == (["avant", "suite"], ["parole"])
     # a cut inside a multi-byte character puts that character before the cut
     raw = "été là".encode()
-    assert tokenize(raw, NO_STOPWORDS, ((1, len(raw)),)) == (["été"], ["là"])
+    assert tokenize(raw, ((1, len(raw)),)) == (["été"], ["là"])
 
 
 def test_load_stopwords_file(tmp_path):
