@@ -150,15 +150,17 @@ def measure_noise(
 
 def site_diagnostics(
     sliced_pages: list[SlicedPage], labels: dict[str, str], rules: dict[str, Rule]
-) -> list[SiteDiagnostics]:
+) -> tuple[list[SiteDiagnostics], list[SliceError]]:
     """Summarize the slicing footprint per site, sorted by site_id.
 
-    ``labels`` maps each site_id to its label (``Corpus.labels``).
+    ``labels`` maps each site_id to its label (``Corpus.labels``). Also returns
+    the errors of the precise extraction that counts the comments.
     """
     by_site: dict[str, list[SlicedPage]] = {}
     for page in sliced_pages:
         by_site.setdefault(page.site_id, []).append(page)
     out = []
+    errors: list[SliceError] = []
     for site_id in sorted(by_site):
         pages = by_site[site_id]
         rule = rules[site_id]
@@ -168,7 +170,8 @@ def site_diagnostics(
             comments = 0
             urls: set[str] = set()
             for page in pages:
-                extracted, _ = precise_slice(page, rule)
+                extracted, errs = precise_slice(page, rule)
+                errors.extend(errs)
                 comments += len(extracted)
                 urls.update(c.author_url for c in extracted if c.author_url)
             commenter_urls = len(urls)
@@ -184,7 +187,7 @@ def site_diagnostics(
                 commenter_urls=commenter_urls,
             )
         )
-    return out
+    return out, errors
 
 
 def run_audit(
@@ -202,12 +205,14 @@ def run_audit(
     if not sample:
         raise ComsliceError("audit sample is empty: the corpus has no pages")
     sliced, errors = slice_corpus(sample, rules, workers=workers)
+    measurement = measure_noise(sliced, corpus.site_index, stopwords)
+    sites, extraction_errors = site_diagnostics(sliced, corpus.labels, rules)
     return AuditResult(
         sample_size=len(sample),
-        measurement=measure_noise(sliced, corpus.site_index, stopwords),
+        measurement=measurement,
         thresholds=thresholds or Thresholds(),
-        sites=tuple(site_diagnostics(sliced, corpus.labels, rules)),
-        errors=tuple(errors),
+        sites=tuple(sites),
+        errors=(*errors, *extraction_errors),
     )
 
 

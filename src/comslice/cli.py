@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import audit as audit_mod
-from .corpus import Corpus, load_corpus
+from .corpus import Corpus, load_corpus, page_file
 from .encoding import Rule, parse_encoding_file
 from .errors import ComsliceError
 from .linkgraph import (
@@ -157,13 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
 _SECTION_NUMBER_RE = re.compile(r"(?:0|[1-9][0-9]*)\.html")
 
 
+def _page_files(stripped: str, sections: str, page_path: str) -> tuple[str, str]:
+    """A page's file under stripped/, and the prefix its numbered files under sections/ extend."""
+    return f"{stripped}/{page_file(page_path)}", f"{sections}/{page_file(page_path + '.section-')}"
+
+
 def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
     """Raise ComsliceError if a file the subcommand may write is one of its inputs.
 
     The inputs are the manifest, the encoding file, the stopword list and
-    every page file. Paths compare as strings under the realpaths of their
-    roots (the corpus root, --out, and --out's stripped/ and sections/), so
-    no page costs a stat.
+    every page file where load_corpus read it. Paths compare as strings under
+    the realpaths of their roots (the corpus root, --out, and --out's stripped/
+    and sections/, laid out by _page_files), so no page costs a stat.
     """
     real = os.path.realpath
     inputs = {
@@ -175,29 +180,24 @@ def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
         )
         if path
     }
-    root = real(args.corpus)
+    root, out = real(args.corpus), real(args.out)
+    outputs = [(real(f"{out}/{name}"), name) for name in args.outputs]
+    trees = real(f"{out}/stripped"), real(f"{out}/sections")
+    section_prefixes: dict[str, str] = {}  # sections/ prefix -> page_path
     for page in corpus.pages:
         inputs.setdefault(
-            f"{root}/{_pathlib_spelling(page.page_path)}",
+            f"{root}/{page_file(page.page_path)}",
             f"page file {page.page_path} of --corpus {args.corpus}",
         )
-    out = real(args.out)
-    outputs = [(real(f"{out}/{name}"), name) for name in args.outputs]
-    if args.page_trees:
-        stripped, sections = real(f"{out}/stripped"), real(f"{out}/sections")
-        outputs += (
-            (f"{stripped}/{_pathlib_spelling(page.page_path)}", f"stripped/{page.page_path}")
-            for page in corpus.pages
-        )
-        # a page's sections are numbered from 0: any number may be written
-        section_prefixes = {
-            f"{sections}/{_pathlib_spelling(page.page_path + '.section-')}": page.page_path
-            for page in corpus.pages
-        }
-        for path in inputs:
-            head, mark, number = path.rpartition(".section-")
-            if head + mark in section_prefixes and _SECTION_NUMBER_RE.fullmatch(number):
-                outputs.append((path, f"sections/{section_prefixes[head + mark]}.section-{number}"))
+        if args.page_trees:
+            stripped, prefix = _page_files(*trees, page.page_path)
+            outputs.append((stripped, f"stripped/{page.page_path}"))
+            section_prefixes[prefix] = page.page_path
+    # a page's sections are numbered from 0: any number may be written
+    for path in inputs:
+        head, mark, number = path.rpartition(".section-")
+        if head + mark in section_prefixes and _SECTION_NUMBER_RE.fullmatch(number):
+            outputs.append((path, f"sections/{section_prefixes[head + mark]}.section-{number}"))
     for path, name in outputs:
         if path in inputs:
             raise ComsliceError(
@@ -231,14 +231,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _pathlib_spelling(rel: str) -> str:
-    """A relative POSIX path as pathlib spells it: no empty and no ``.`` parts."""
-    parts = rel.split("/")
-    if "" in parts or "." in parts:
-        return "/".join(part for part in parts if part not in ("", ".")) or "."
-    return rel
-
-
 def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
     made: set[str] = set()  # directories known to exist
 
@@ -251,8 +243,8 @@ def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
             fh.write(data)
 
     for page in sliced:
-        write(f"{out}/stripped/{_pathlib_spelling(page.page_path)}", page.stripped_bytes)
-        prefix = f"{out}/sections/{_pathlib_spelling(page.page_path + '.section-')}"
+        stripped, prefix = _page_files(f"{out}/stripped", f"{out}/sections", page.page_path)
+        write(stripped, page.stripped_bytes)
         for i, section in enumerate(page.sections_bytes):
             write(f"{prefix}{i}.html", section)
 

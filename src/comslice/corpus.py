@@ -18,7 +18,7 @@ import os
 import re
 import stat
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 from .errors import ManifestError, read_text
 
@@ -109,19 +109,18 @@ class Corpus:
 
 
 def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
-    """Load a corpus from disk.
+    """Load a corpus from disk, reading each page at page_file(page_path) under root.
 
     Fatal conditions (raised as ManifestError, always naming the offending
-    path or row): missing manifest, wrong header, missing page file,
-    duplicate (site_id, page_path), one page_path under two site_ids (both
-    would write the same stripped file), a page referencing a site_id no
+    path or row): missing manifest, wrong header, missing page file, two
+    page_paths with one page_file under one site_id (duplicate pages) or two
+    (both would write the same stripped file), a page referencing a site_id no
     row defines, a prefix with no host, one prefix claimed by two sites
     (compared after normalize_url), conflicting redefinitions of a site, or
     a site_id or label holding a character that XML 1.0 does not allow.
     """
     text = read_text(manifest, ManifestError, "manifest")
     root = Path(root)
-    root_dir = str(root)
     manifest = Path(manifest)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -181,13 +180,13 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
 
     # Second pass: load page bytes verbatim.
     pages: list[Page] = []
-    seen: dict[PurePosixPath, tuple[int, str]] = {}  # page path -> (row, site_id)
+    seen: dict[str, tuple[int, str]] = {}  # page_file -> (row, site_id)
     for lineno, row in rows:
         page_path = row[2].strip()
         if not page_path:
             continue
-        path = PurePosixPath(page_path)
-        if path.is_absolute() or ".." in path.parts:
+        path = page_file(page_path)
+        if page_path.startswith("/") or ".." in path.split("/"):
             raise ManifestError(
                 f"manifest {manifest} row {lineno}: page_path {page_path!r} "
                 f"must stay inside the corpus root"
@@ -209,15 +208,23 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
                 f"{first_site} (row {first_row}) and site {site_id} (row {lineno})"
             )
         seen[path] = (lineno, site_id)
-        raw = _read_regular_file(f"{root_dir}/{page_path}")
+        raw = _read_regular_file(f"{root}/{path}")
         if raw is None:  # no readable regular file there: let pathlib say why
-            file_path = root / page_path
+            file_path = root / path
             if not file_path.is_file():
                 raise ManifestError(f"page file not found: {file_path}")
             raw = file_path.read_bytes()
         pages.append(Page(site_id=site_id, page_path=page_path, raw_bytes=raw))
 
     return Corpus(registry=list(sites.values()), pages=pages)
+
+
+def page_file(page_path: str) -> str:
+    """page_path as pathlib spells it, with no empty and no ``.`` parts (``./d//b.html/`` is ``d/b.html``).
+
+    A page is read at this path under the corpus root and written at it under stripped/.
+    """
+    return "/".join(part for part in page_path.split("/") if part not in ("", ".")) or "."
 
 
 def _read_regular_file(path: str) -> bytes | None:

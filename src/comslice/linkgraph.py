@@ -140,9 +140,9 @@ class MutualGraph:
 
 
 def mutual_link_graph(
-    links: Iterable[Link], labels: dict[str, str], *, include_comments: bool = True
+    links: Iterable[Link], labels: dict[str, str], *, include_comments: bool
 ) -> MutualGraph:
-    """Build the mutual-link graph, optionally ignoring comment-located links.
+    """Build the mutual-link graph, with or without the links located in comments.
 
     ``labels`` is ``Corpus.labels``: its keys, the registered site_ids, are the nodes.
     """

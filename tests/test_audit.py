@@ -201,6 +201,21 @@ def test_run_audit_end_to_end(two_site_corpus):
     assert "alpha (blog)" in report
 
 
+def test_audit_reports_the_extraction_failures_of_its_sample():
+    # the second page's section is longer than empty_size but holds no comment marker
+    corpus = corpus_in_memory(
+        sites={"alpha": ("blog", ["alpha.org"])},
+        pages={
+            ("alpha", "alpha/ok.html"): page_bytes(fragments=[fragment(text="bien")]),
+            ("alpha", "alpha/bad.html"): page_bytes(fragments=[b"<p>sans marqueur</p>"]),
+        },
+    )
+    result = run_audit(corpus, {"alpha": make_precise_rule(site_id="alpha")}, sample_n=100, seed=0)
+    assert [(e.page_path, e.kind) for e in result.errors] == [("alpha/bad.html", "extraction_failure")]
+    assert "slicing errors in sample: extraction_failure=1\n" in format_report(result)
+    assert result.sites[0].comments == 1
+
+
 def test_run_audit_without_pages_is_fatal():
     corpus = corpus_in_memory(sites={"a": ("blog", ["a.org"])}, pages={})
     with pytest.raises(ComsliceError, match="no pages"):
@@ -219,7 +234,9 @@ def test_run_audit_builds_no_second_corpus(two_site_corpus, monkeypatch):
 def test_site_diagnostics_rough_rule_has_no_comment_counts(two_site_corpus):
     rules = {"alpha": make_rule(site_id="alpha"), "beta": make_rule(site_id="beta")}
     sliced, _ = slice_corpus(two_site_corpus.pages, rules)
-    diag = {d.site_id: d for d in site_diagnostics(sliced, two_site_corpus.labels, rules)}
+    diags, errors = site_diagnostics(sliced, two_site_corpus.labels, rules)
+    assert errors == []
+    diag = {d.site_id: d for d in diags}
     assert diag["alpha"].comments is None
     assert diag["alpha"].commenter_urls is None
     assert diag["alpha"].sections == 1

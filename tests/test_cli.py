@@ -8,16 +8,19 @@ import csv
 import json
 import os
 import re
-from pathlib import PurePosixPath
+import tempfile
+from pathlib import Path, PurePosixPath
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from comslice import cli
 from comslice.cli import run
+from comslice.corpus import load_corpus, page_file
 from comslice.encoding import write_encoding_file
+from comslice.errors import ManifestError
 
 from conftest import (
     CLOSE,
@@ -623,23 +626,48 @@ def test_each_subcommand_writes_the_files_it_declares(workspace, command):
     assert written == set(declared.outputs) | trees
 
 
-def test_page_paths_are_written_where_pathlib_puts_them(tmp_path):
-    pages = {
-        ("alpha", "alpha/./a.html"): page_bytes(fragments=[fragment(text="un")]),
-        ("alpha", "alpha//b.html"): page_bytes(fragments=[fragment(text="deux")]),
-        ("alpha", "c.html/"): page_bytes(fragments=[fragment(text="trois")]),
-    }
-    root, manifest = write_corpus(
-        tmp_path, sites={"alpha": ("blog", ["alpha.example.org"])}, pages=pages
-    )
-    encoding = tmp_path / "encoding.csv"
-    write_encoding_file({"alpha": make_rule(site_id="alpha", label="blog")}, encoding)
-    ws = {"root": root, "manifest": manifest, "encoding": encoding, "out": tmp_path / "out"}
-    assert run(base_args(ws, "slice-rough")) == 0
-    assert sorted(str(p) for p in _tree(ws["out"] / "stripped")) == ["alpha/a.html", "alpha/b.html", "c.html"]
-    assert sorted(str(p) for p in _tree(ws["out"] / "sections")) == [
-        "alpha/a.html.section-0.html", "alpha/b.html.section-0.html", "c.html/.section-0.html"
-    ]
+# relative paths that name a file, not the corpus root
+_page_paths = (
+    st.lists(st.sampled_from(["a", "b.html", ".", "", "x.section-"]), min_size=1, max_size=4)
+    .map("/".join)
+    .filter(lambda path: not path.startswith("/") and str(PurePosixPath(path)) != ".")
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["alpha", "beta"]), _page_paths), min_size=1, max_size=4))
+@example([("alpha", "alpha/./a.html"), ("alpha", "alpha//b.html"), ("alpha", "c.html/")])
+@example([("alpha", "d/b.html"), ("alpha", "d//b.html"), ("beta", "./d/b.html/")])
+def test_page_paths_are_written_where_pathlib_puts_them(pages):
+    files = {str(PurePosixPath(path)) for _, path in pages}
+    assume(not any(other.startswith(f"{name}/") for name in files for other in files))  # none in another
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = {
+            "root": Path(tmp, "corpus"), "manifest": Path(tmp, "manifest.csv"),
+            "encoding": Path(tmp, "encoding.csv"), "out": Path(tmp, "out"),
+        }
+        rows = [("site_id", "label", "page_path", "url_prefixes"), ("alpha", "blog", "", "a.org")]
+        rows += [("beta", "blog", "", "b.org"), *((site, "", path, "") for site, path in pages)]
+        with open(ws["manifest"], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        write_encoding_file({s: make_rule(site_id=s, label="blog") for s in ("alpha", "beta")}, ws["encoding"])
+        sections = [fragment(text=f"page{i}") for i in range(len(pages))]
+        for (_, path), section in zip(pages, sections):
+            Path(ws["root"], path).parent.mkdir(parents=True, exist_ok=True)
+            Path(ws["root"], path).write_bytes(page_bytes(fragments=[section]))
+        if len(files) < len(pages):  # two spellings of one page
+            with pytest.raises(ManifestError, match="duplicate page|is declared under site"):
+                load_corpus(ws["root"], ws["manifest"])
+            return
+        assert run(base_args(ws, "slice-rough")) == 0
+        expected = {Path(ws["out"], "stripped", path): page_bytes() for _, path in pages}
+        for (_, path), section in zip(pages, sections):
+            expected[Path(ws["out"], "sections", path + ".section-0.html")] = OPEN + section + CLOSE
+        written = {
+            p: p.read_bytes() for tree in ("stripped", "sections") for p in Path(ws["out"], tree).rglob("*")
+            if p.is_file()
+        }
+        assert written == expected
 
 
 @given(st.lists(st.sampled_from(["a", "b.html", ".", "..x", "", ".section-"]), min_size=1, max_size=6))
@@ -647,4 +675,4 @@ def test_pathlib_spelling_matches_pathlib(parts):
     rel = "/".join(parts)
     if rel.startswith("/"):  # page paths are relative
         return
-    assert cli._pathlib_spelling(rel) == str(PurePosixPath(rel))
+    assert page_file(rel) == str(PurePosixPath(rel))

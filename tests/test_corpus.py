@@ -94,7 +94,8 @@ def test_unknown_site_for_page_is_fatal(tmp_path):
     root, manifest = write_corpus(
         tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "p.html"): b"x"}
     )
-    rows = list(csv.reader(open(manifest, encoding="utf-8")))
+    with open(manifest, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
     rows.append(["ghost", "", "p.html", ""])
     with open(manifest, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)

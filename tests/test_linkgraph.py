@@ -196,27 +196,27 @@ GRAPH_LABELS = {s: s.upper() for s in "abcd"}
 
 def test_mutual_graph_requires_reciprocity():
     links = [mk_link("a", "b"), mk_link("b", "a"), mk_link("a", "c")]
-    graph = mutual_link_graph(links, GRAPH_LABELS)
+    graph = mutual_link_graph(links, GRAPH_LABELS, include_comments=True)
     assert graph.edges == frozenset({("a", "b")})
     assert graph.nodes == ("a", "b", "c", "d")  # isolated sites stay in the graph
 
 
 def test_mutual_graph_reciprocity_can_cross_locations():
     links = [mk_link("a", "b", True), mk_link("b", "a", False)]
-    assert mutual_link_graph(links, GRAPH_LABELS).edges == frozenset({("a", "b")})
+    assert mutual_link_graph(links, GRAPH_LABELS, include_comments=True).edges == frozenset({("a", "b")})
     assert mutual_link_graph(links, GRAPH_LABELS, include_comments=False).edges == frozenset()
 
 
 @given(link_lists)
 def test_dropping_comment_links_never_adds_edges(links):
-    with_comments = mutual_link_graph(links, GRAPH_LABELS).edges
+    with_comments = mutual_link_graph(links, GRAPH_LABELS, include_comments=True).edges
     without = mutual_link_graph(links, GRAPH_LABELS, include_comments=False).edges
     assert without <= with_comments
 
 
 @given(link_lists)
 def test_components_match_networkx(links):
-    graph = mutual_link_graph(links, GRAPH_LABELS)
+    graph = mutual_link_graph(links, GRAPH_LABELS, include_comments=True)
     oracle = nx.Graph()
     oracle.add_nodes_from(graph.nodes)
     oracle.add_edges_from(graph.edges)
