@@ -11,16 +11,14 @@ normalized; all downstream slicing is byte-exact against them.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import os
 import re
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ManifestError, read_text
+from .errors import ManifestError, read_rows
 
 MANIFEST_COLUMNS = ("site_id", "label", "page_path", "url_prefixes")
 
@@ -112,51 +110,37 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     """Load a corpus from disk, reading each page at page_file(page_path) under root.
 
     Fatal conditions (raised as ManifestError, always naming the offending
-    path or row): missing manifest, wrong header, missing page file, two
+    path or row): any fault read_rows refuses, a missing page file, two
     page_paths with one page_file under one site_id (duplicate pages) or two
     (both would write the same stripped file), a page referencing a site_id no
     row defines, a prefix with no host, one prefix claimed by two sites
     (compared after normalize_url), conflicting redefinitions of a site, or
     a site_id or label holding a character that XML 1.0 does not allow.
     """
-    text = read_text(manifest, ManifestError, "manifest")
     root = Path(root)
-    manifest = Path(manifest)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ManifestError(f"manifest is empty: {manifest}") from None
-    if tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
-        raise ManifestError(
-            f"manifest {manifest} has header {header}, "
-            f"expected {list(MANIFEST_COLUMNS)}"
-        )
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+    rows_read = read_rows(manifest, MANIFEST_COLUMNS, ManifestError, "manifest")
+    manifest = Path(manifest)  # the messages below spell it as read_rows does
 
     # First pass: collect site definitions so page rows can appear in any order.
+    page_rows: list[tuple[int, str, str]] = []  # (row, site_id, page_path) of each page row
     sites: dict[str, Site] = {}
     prefix_owner: dict[str, str] = {}
-    for lineno, row in rows:
-        if len(row) != len(MANIFEST_COLUMNS):
-            raise ManifestError(
-                f"manifest {manifest} row {lineno}: expected "
-                f"{len(MANIFEST_COLUMNS)} cells, got {len(row)}"
-            )
-        site_id = row[0].strip()
+    for lineno, (site_id, label, page_path, url_prefixes) in rows_read:
+        if page_path:
+            page_rows.append((lineno, site_id, page_path))
         if not site_id:
             raise ManifestError(f"manifest {manifest} row {lineno}: empty site_id")
-        for column, cell in (("site_id", site_id), ("label", row[1].strip())):
+        for column, cell in (("site_id", site_id), ("label", label)):
             bad = _NOT_XML_CHAR_RE.search(cell)
             if bad:
                 raise ManifestError(
                     f"manifest {manifest} row {lineno}: {column} holds {bad.group()!r}, "
                     "which XML 1.0 does not allow"
                 )
-        prefixes = tuple(p.strip() for p in row[3].split("|") if p.strip())
+        prefixes = tuple(p.strip() for p in url_prefixes.split("|") if p.strip())
         if not prefixes:
             continue
-        candidate = Site(site_id=site_id, label=row[1].strip(), url_prefixes=prefixes)
+        candidate = Site(site_id=site_id, label=label, url_prefixes=prefixes)
         known = sites.get(site_id)
         if known is None:
             for prefix, norm in zip(prefixes, candidate.normalized):
@@ -181,17 +165,13 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     # Second pass: load page bytes verbatim.
     pages: list[Page] = []
     seen: dict[str, tuple[int, str]] = {}  # page_file -> (row, site_id)
-    for lineno, row in rows:
-        page_path = row[2].strip()
-        if not page_path:
-            continue
+    for lineno, site_id, page_path in page_rows:
         path = page_file(page_path)
         if page_path.startswith("/") or ".." in path.split("/"):
             raise ManifestError(
                 f"manifest {manifest} row {lineno}: page_path {page_path!r} "
                 f"must stay inside the corpus root"
             )
-        site_id = row[0].strip()
         if site_id not in sites:
             raise ManifestError(
                 f"manifest {manifest} row {lineno}: page {page_path} references "

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Literal
 
-from .errors import EncodingFileError, read_text
+from .errors import EncodingFileError, read_rows
 
 ABSENT = "False"
 REGEX_PREFIX = "re:"
@@ -101,18 +100,14 @@ def _parse_pattern(cell: str, where: str) -> Pattern | None:
         pattern = Pattern(kind="regex", source=cell[len(REGEX_PREFIX):])
         try:
             pattern.regex  # compile now, so a bad regex fails at load time
-        except re.error as exc:
+        except (re.error, OverflowError, RecursionError) as exc:  # a repeat count or nesting too large
             raise EncodingFileError(f"{where}: bad regex {pattern.source!r}: {exc}") from None
         return pattern
     return Pattern(kind="literal", source=cell)
 
 
 def _parse_row(row: list[str], where: str) -> Rule:
-    if len(row) != len(ENCODING_COLUMNS):
-        raise EncodingFileError(
-            f"{where}: expected {len(ENCODING_COLUMNS)} cells, got {len(row)}"
-        )
-    cells = {name: cell.strip() for name, cell in zip(ENCODING_COLUMNS, row)}
+    cells = dict(zip(ENCODING_COLUMNS, row))
     if not cells["site_id"]:
         raise EncodingFileError(f"{where}: empty site_id")
 
@@ -165,30 +160,15 @@ def _parse_row(row: list[str], where: str) -> Rule:
 def parse_encoding_file(path: str | Path) -> dict[str, Rule]:
     """Parse and fully validate an encoding file; returns rules keyed by site_id.
 
-    Every problem is fatal and reported with the file path and row number,
-    so a bad rule can never silently pass through to slicing.
+    Every fault, in the CSV (see errors.read_rows) or in a rule, is fatal and names
+    the file and the row, so a bad rule can never silently pass through to slicing.
     """
-    text = read_text(path, EncodingFileError, "encoding file")
-    path = Path(path)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EncodingFileError(f"encoding file is empty: {path}") from None
-    if tuple(h.strip() for h in header) != ENCODING_COLUMNS:
-        raise EncodingFileError(
-            f"encoding file {path} has header {header}, "
-            f"expected {list(ENCODING_COLUMNS)}"
-        )
     rules: dict[str, Rule] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        rule = _parse_row(row, f"encoding file {path} row {lineno}")
+    for lineno, row in read_rows(path, ENCODING_COLUMNS, EncodingFileError, "encoding file"):
+        where = f"encoding file {Path(path)} row {lineno}"
+        rule = _parse_row(row, where)
         if rule.site_id in rules:
-            raise EncodingFileError(
-                f"encoding file {path} row {lineno}: duplicate site_id {rule.site_id}"
-            )
+            raise EncodingFileError(f"{where}: duplicate site_id {rule.site_id}")
         rules[rule.site_id] = rule
     return rules
 

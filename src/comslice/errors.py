@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -22,6 +25,7 @@ def read_text(path: str | Path, error: type[ComsliceError], what: str) -> str:
 
     A missing file or bytes that are not UTF-8 raise error, naming the path
     as given (an empty one as ``''``, not as the ``.`` that ``Path("")`` is).
+    The stopword list is read with it, the two CSV files through read_rows.
     """
     file = Path(path)
     if not file.is_file():
@@ -30,3 +34,38 @@ def read_text(path: str | Path, error: type[ComsliceError], what: str) -> str:
         return file.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def read_rows(
+    path: str | Path, columns: tuple[str, ...], error: type[ComsliceError], what: str
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (row number, stripped cells) for each data row of a CSV configuration file, lazily.
+
+    Row 1 is the header, blank rows are skipped, every other row holds one
+    cell per column. Any fault (among them a NUL, or a cell over csv's field
+    limit) raises error naming the file and the row.
+    """
+    text = read_text(path, error, what)
+    path = Path(path)
+    read = 0  # rows read so far; a csv.Error is in the next one
+    try:
+        for read, row in enumerate(csv.reader(_lines_without_nul(text)), start=1):
+            if read == 1:
+                if tuple(h.strip() for h in row) != columns:
+                    raise error(f"{what} {path} has header {row}, expected {list(columns)}")
+            elif row:
+                if len(row) != len(columns):
+                    raise error(f"{what} {path} row {read}: expected {len(columns)} cells, got {len(row)}")
+                yield read, [cell.strip() for cell in row]
+    except csv.Error as exc:
+        raise error(f"{what} {path} row {read + 1}: {exc}") from None
+    if read == 0:
+        raise error(f"{what} is empty: {path}")
+
+
+def _lines_without_nul(text: str) -> Iterator[str]:
+    """text's lines as csv reads them; a NUL fails on every Python as csv fails on it before 3.11."""
+    for line in io.StringIO(text, newline=""):
+        if "\0" in line:
+            raise csv.Error("line contains NUL")
+        yield line

@@ -204,7 +204,10 @@ def extract_comment(
         if raw_depth is not None:
             digits = _DIGITS_RE.search(raw_depth)
             if digits:
-                depth = int(digits.group(0))
+                try:
+                    depth = int(digits.group(0))
+                except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+                    pass
     return Comment(
         site_id=site_id,
         page_path=page_path,

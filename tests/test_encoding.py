@@ -88,6 +88,16 @@ def test_bad_header_is_fatal(tmp_path):
         ("s1,blog,True,x,y,ten,False,False,False,False,False,False", "empty_size"),
         ("s1,blog,True,x,y,-3,False,False,False,False,False,False", ">= 0"),
         ("s1,blog,True,re:([a,y,False,False,False,False,False,False,False", "bad regex"),
+        pytest.param(  # OverflowError from re, not re.error
+            "s1,blog,True,re:x{4294967296},y,False,False,False,False,False,False,False",
+            "bad regex 'x{4294967296}': ",
+            id="repeat-count-overflows",
+        ),
+        pytest.param(  # RecursionError from re, not re.error
+            f"s1,blog,True,re:{'(' * 2000}{')' * 2000},y,False,False,False,False,False,False,False",
+            "column open_pattern: bad regex '((((",
+            id="groups-nest-2000-deep",
+        ),
         ("s1,blog,True,False,y,False,False,False,False,False,False,False", "open_pattern is absent"),
         ("s1,blog,True,x,y,False,False,dd,False,False,False,False", "comment_pattern is absent"),
         ("s1,blog,False,x,False,False,False,False,False,False,False,False", "must be False"),

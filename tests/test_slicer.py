@@ -281,6 +281,14 @@ def test_depth_parses_first_digit_run():
     assert comment.depth == 12
 
 
+def test_depth_too_long_for_int_is_none_and_the_comment_stays():
+    deep = COMMENT_SEP + b'<i class="depth-' + b"9" * 5000 + b'"></i><p>profond</p>'  # int() takes 4,300
+    raw = page_bytes(fragments=[deep, fragment(depth=3, text="court")])
+    comments, errors = precise_slice(slice_page(raw)[0], make_precise_rule())
+    assert errors == []
+    assert [(c.depth, c.text) for c in comments] == [(None, "profond"), (3, "court")]
+
+
 def test_precise_slice_numbers_comments_across_sections():
     raw = (
         OPEN + fragment(text="un") + fragment(text="deux") + CLOSE
