@@ -1,102 +1,44 @@
 """comslice: cut comment sections out of crawled web pages, byte-exactly,
 and measure how much bias those comments add to link and text analyses."""
 
-from .corpus import Corpus, Page, Site, load_corpus, normalize_url, resolve_url
-from .encoding import Pattern, Rule, parse_encoding_file, write_encoding_file
+from .corpus import Corpus, Page, Site, load_corpus
+from .encoding import Pattern, Rule, parse_encoding_file
 from .errors import ComsliceError, EncodingFileError, ManifestError
-from .linkgraph import (
-    CrosstabRow,
-    Link,
-    MutualGraph,
-    components,
-    crosstab,
-    extract_all_links,
-    extract_links,
-    iter_hrefs,
-    mutual_link_graph,
-    write_gexf,
-)
-from .slicer import (
-    Comment,
-    ErrorReport,
-    SectionAnomaly,
-    SliceError,
-    SlicedPage,
-    UniformSizeWarning,
-    build_error_report,
-    extract_comment,
-    precise_slice,
-    rough_slice,
-    slice_corpus,
-    split_section,
-)
-from .textstats import (
-    corpus_token_counts,
-    jsd,
-    load_stopwords,
-    tokenize,
-    top_k,
-)
-from .audit import (
-    AuditResult,
-    NoiseMeasurement,
-    SiteDiagnostics,
-    Thresholds,
-    measure_noise,
-    run_audit,
-    sample_corpus,
-    site_diagnostics,
-)
+from .linkgraph import CrosstabRow, Link, MutualGraph, crosstab, extract_all_links, mutual_link_graph
+from .slicer import Comment, SliceError, SlicedPage, precise_slice, rough_slice, slice_corpus
+from .textstats import corpus_token_counts, top_k
+from .audit import AuditResult, NoiseMeasurement, SiteDiagnostics, Thresholds, run_audit
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditResult",
-    "Comment",
-    "ComsliceError",
-    "Corpus",
-    "CrosstabRow",
-    "EncodingFileError",
-    "ErrorReport",
-    "Link",
-    "ManifestError",
-    "MutualGraph",
-    "NoiseMeasurement",
-    "Page",
-    "Pattern",
-    "Rule",
-    "SectionAnomaly",
-    "Site",
-    "SiteDiagnostics",
-    "SliceError",
-    "SlicedPage",
-    "Thresholds",
-    "UniformSizeWarning",
-    "build_error_report",
-    "components",
-    "corpus_token_counts",
-    "crosstab",
-    "extract_all_links",
-    "extract_comment",
-    "extract_links",
-    "iter_hrefs",
-    "jsd",
     "load_corpus",
-    "load_stopwords",
-    "measure_noise",
-    "mutual_link_graph",
-    "normalize_url",
     "parse_encoding_file",
-    "precise_slice",
-    "resolve_url",
-    "rough_slice",
-    "run_audit",
-    "sample_corpus",
-    "site_diagnostics",
     "slice_corpus",
-    "split_section",
-    "tokenize",
+    "rough_slice",
+    "precise_slice",
+    "extract_all_links",
+    "crosstab",
+    "mutual_link_graph",
+    "corpus_token_counts",
     "top_k",
-    "write_encoding_file",
-    "write_gexf",
+    "run_audit",
+    "Corpus",
+    "Page",
+    "Site",
+    "Rule",
+    "Pattern",
+    "SlicedPage",
+    "SliceError",
+    "Comment",
+    "Link",
+    "CrosstabRow",
+    "MutualGraph",
+    "AuditResult",
+    "NoiseMeasurement",
+    "SiteDiagnostics",
+    "Thresholds",
+    "ComsliceError",
+    "ManifestError",
+    "EncodingFileError",
 ]

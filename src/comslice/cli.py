@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 from . import audit as audit_mod
 from .corpus import Corpus, load_corpus, page_file
 from .encoding import Rule, parse_encoding_file
-from .errors import ComsliceError
+from .errors import ComsliceError, clip
 from .linkgraph import (
     Link,
     components,
@@ -211,8 +211,8 @@ def _load(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule]]:
     for site_id, rule in rules.items():
         if site_id in corpus.labels and rule.label != corpus.labels[site_id]:
             raise ComsliceError(
-                f"encoding file {args.encoding} labels site {site_id} {rule.label!r}, "
-                f"but manifest {args.manifest} labels it {corpus.labels[site_id]!r}"
+                f"encoding file {args.encoding} labels site {clip(site_id)} {clip(rule.label)!r}, "
+                f"but manifest {args.manifest} labels it {clip(corpus.labels[site_id])!r}"
             )
     _refuse_overwrite(args, corpus)
     return corpus, rules

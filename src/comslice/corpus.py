@@ -18,7 +18,7 @@ import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ManifestError, read_rows
+from .errors import ManifestError, clip, read_rows
 
 MANIFEST_COLUMNS = ("site_id", "label", "page_path", "url_prefixes")
 
@@ -119,7 +119,6 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     """
     root = Path(root)
     rows_read = read_rows(manifest, MANIFEST_COLUMNS, ManifestError, "manifest")
-    manifest = Path(manifest)  # the messages below spell it as read_rows does
 
     # First pass: collect site definitions so page rows can appear in any order.
     page_rows: list[tuple[int, str, str]] = []  # (row, site_id, page_path) of each page row
@@ -146,20 +145,20 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
             for prefix, norm in zip(prefixes, candidate.normalized):
                 if norm.startswith(("/", "?")):  # it would own every root-relative href
                     raise ManifestError(
-                        f"manifest {manifest} row {lineno}: prefix {prefix!r} has no host"
+                        f"manifest {manifest} row {lineno}: prefix {clip(prefix)!r} has no host"
                     )
                 owner = prefix_owner.get(norm)
                 if owner is not None and owner != site_id:
                     raise ManifestError(
-                        f"manifest {manifest} row {lineno}: prefix {prefix!r} "
-                        f"({norm!r} after normalization) already owned by site {owner}"
+                        f"manifest {manifest} row {lineno}: prefix {clip(prefix)!r} "
+                        f"({clip(norm)!r} after normalization) already owned by site {clip(owner)}"
                     )
                 prefix_owner[norm] = site_id
             sites[site_id] = candidate
         elif known != candidate:
             raise ManifestError(
                 f"manifest {manifest} row {lineno}: conflicting definition "
-                f"for site {site_id}"
+                f"for site {clip(site_id)}"
             )
 
     # Second pass: load page bytes verbatim.
@@ -169,30 +168,30 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
         path = page_file(page_path)
         if page_path.startswith("/") or ".." in path.split("/"):
             raise ManifestError(
-                f"manifest {manifest} row {lineno}: page_path {page_path!r} "
+                f"manifest {manifest} row {lineno}: page_path {clip(page_path)!r} "
                 f"must stay inside the corpus root"
             )
         if site_id not in sites:
             raise ManifestError(
-                f"manifest {manifest} row {lineno}: page {page_path} references "
-                f"unknown site_id {site_id} (no row defines its url_prefixes)"
+                f"manifest {manifest} row {lineno}: page {clip(page_path)} references "
+                f"unknown site_id {clip(site_id)} (no row defines its url_prefixes)"
             )
         if path in seen:
             first_row, first_site = seen[path]
             if first_site == site_id:
                 raise ManifestError(
-                    f"manifest {manifest} row {lineno}: duplicate page {(site_id, page_path)}"
+                    f"manifest {manifest} row {lineno}: duplicate page {(clip(site_id), clip(page_path))}"
                 )
             raise ManifestError(
-                f"manifest {manifest}: page_path {page_path} is declared under site "
-                f"{first_site} (row {first_row}) and site {site_id} (row {lineno})"
+                f"manifest {manifest}: page_path {clip(page_path)} is declared under site "
+                f"{clip(first_site)} (row {first_row}) and site {clip(site_id)} (row {lineno})"
             )
         seen[path] = (lineno, site_id)
         raw = _read_regular_file(f"{root}/{path}")
         if raw is None:  # no readable regular file there: let pathlib say why
             file_path = root / path
             if not file_path.is_file():
-                raise ManifestError(f"page file not found: {file_path}")
+                raise ManifestError(f"page file not found: {root / clip(path)}")
             raw = file_path.read_bytes()
         pages.append(Page(site_id=site_id, page_path=page_path, raw_bytes=raw))
 

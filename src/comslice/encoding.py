@@ -9,14 +9,13 @@ matching is case-sensitive and byte-oriented.
 
 from __future__ import annotations
 
-import csv
 import functools
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Literal
 
-from .errors import EncodingFileError, read_rows
+from .errors import EncodingFileError, clip, read_rows
 
 ABSENT = "False"
 REGEX_PREFIX = "re:"
@@ -101,7 +100,7 @@ def _parse_pattern(cell: str, where: str) -> Pattern | None:
         try:
             pattern.regex  # compile now, so a bad regex fails at load time
         except (re.error, OverflowError, RecursionError) as exc:  # a repeat count or nesting too large
-            raise EncodingFileError(f"{where}: bad regex {pattern.source!r}: {exc}") from None
+            raise EncodingFileError(f"{where}: bad regex {clip(pattern.source)!r}: {exc}") from None
         return pattern
     return Pattern(kind="literal", source=cell)
 
@@ -113,7 +112,7 @@ def _parse_row(row: list[str], where: str) -> Rule:
 
     flag = cells["has_comments"]
     if flag not in ("True", "False"):
-        raise EncodingFileError(f"{where}: has_comments must be True or False, got {flag!r}")
+        raise EncodingFileError(f"{where}: has_comments must be True or False, got {clip(flag)!r}")
     has_comments = flag == "True"
 
     size_cell = cells["empty_size"]
@@ -124,10 +123,10 @@ def _parse_row(row: list[str], where: str) -> Rule:
             empty_size = int(size_cell)
         except ValueError:
             raise EncodingFileError(
-                f"{where}: empty_size must be an integer or False, got {size_cell!r}"
+                f"{where}: empty_size must be an integer or False, got {clip(size_cell)!r}"
             ) from None
         if empty_size < 0:
-            raise EncodingFileError(f"{where}: empty_size must be >= 0, got {empty_size}")
+            raise EncodingFileError(f"{where}: empty_size must be >= 0, got {clip(empty_size)}")
 
     patterns = {
         name: _parse_pattern(cells[name], f"{where} column {name}") for name in PATTERN_COLUMNS
@@ -165,30 +164,10 @@ def parse_encoding_file(path: str | Path) -> dict[str, Rule]:
     """
     rules: dict[str, Rule] = {}
     for lineno, row in read_rows(path, ENCODING_COLUMNS, EncodingFileError, "encoding file"):
-        where = f"encoding file {Path(path)} row {lineno}"
+        where = f"encoding file {path} row {lineno}"
         rule = _parse_row(row, where)
         if rule.site_id in rules:
-            raise EncodingFileError(f"{where}: duplicate site_id {rule.site_id}")
+            raise EncodingFileError(f"{where}: duplicate site_id {clip(rule.site_id)}")
         rules[rule.site_id] = rule
     return rules
 
-
-def _format_cell(value: object) -> str:
-    if value is None:
-        return ABSENT
-    if not isinstance(value, Pattern):
-        return str(value)
-    if value.kind == "regex":
-        return REGEX_PREFIX + value.source
-    if value.source in ("", ABSENT) or value.source.startswith(REGEX_PREFIX):
-        raise ValueError(f"literal pattern {value.source!r} cannot be written losslessly")
-    return value.source
-
-
-def write_encoding_file(rules: dict[str, Rule], path: str | Path) -> None:
-    """Write rules back out in the same CSV layout parse_encoding_file reads."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ENCODING_COLUMNS)
-        for rule in rules.values():
-            writer.writerow([_format_cell(getattr(rule, col)) for col in ENCODING_COLUMNS])

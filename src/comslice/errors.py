@@ -46,13 +46,12 @@ def read_rows(
     limit) raises error naming the file and the row.
     """
     text = read_text(path, error, what)
-    path = Path(path)
     read = 0  # rows read so far; a csv.Error is in the next one
     try:
         for read, row in enumerate(csv.reader(_lines_without_nul(text)), start=1):
             if read == 1:
                 if tuple(h.strip() for h in row) != columns:
-                    raise error(f"{what} {path} has header {row}, expected {list(columns)}")
+                    raise error(f"{what} {path} has header {list(map(clip, row))}, expected {list(columns)}")
             elif row:
                 if len(row) != len(columns):
                     raise error(f"{what} {path} row {read}: expected {len(columns)} cells, got {len(row)}")
@@ -61,6 +60,12 @@ def read_rows(
         raise error(f"{what} {path} row {read + 1}: {exc}") from None
     if read == 0:
         raise error(f"{what} is empty: {path}")
+
+
+def clip(value: object) -> str:
+    """value as an error line echoes it: whole up to 80 characters, else cut there, with its length."""
+    text = str(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 def _lines_without_nul(text: str) -> Iterator[str]:

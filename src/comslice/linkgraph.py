@@ -58,33 +58,27 @@ def iter_hrefs(data: bytes) -> Iterable[tuple[int, str]]:
             yield m.start(m.lastindex), m.group(m.lastindex).decode("utf-8", errors="replace")
 
 
-def extract_links(page: SlicedPage, index: SiteIndex) -> list[Link]:
-    """The page's anchor hrefs that resolve to a registered site.
+def extract_all_links(pages: Iterable[SlicedPage], index: SiteIndex) -> list[Link]:
+    """Every anchor href on the pages that resolves to a registered site, in page order.
 
-    ``index`` is ``Corpus.site_index``.
+    ``index`` is ``Corpus.site_index``. A link is in a comment when its href's offset is.
     """
     links: list[Link] = []
-    for offset, href in iter_hrefs(page.raw_bytes):
-        dst = resolve_url(href, index)
-        if dst is None:
-            continue
-        links.append(
-            Link(
-                src_site_id=page.site_id,
-                page_path=page.page_path,
-                offset=offset,
-                href=href,
-                dst_site_id=dst,
-                in_comment=page.in_comment_section(offset),
-            )
-        )
-    return links
-
-
-def extract_all_links(pages: Iterable[SlicedPage], index: SiteIndex) -> list[Link]:
-    links: list[Link] = []
     for page in pages:
-        links.extend(extract_links(page, index))
+        for offset, href in iter_hrefs(page.raw_bytes):
+            dst = resolve_url(href, index)
+            if dst is None:
+                continue
+            links.append(
+                Link(
+                    src_site_id=page.site_id,
+                    page_path=page.page_path,
+                    offset=offset,
+                    href=href,
+                    dst_site_id=dst,
+                    in_comment=page.in_comment_section(offset),
+                )
+            )
     return links
 
 

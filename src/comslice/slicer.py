@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .corpus import Page
 from .encoding import Rule
-from .errors import EncodingFileError
+from .errors import EncodingFileError, clip
 
 Span = tuple[int, int]
 
@@ -64,7 +64,7 @@ class SlicedPage:
     Spans are half-open (start, end) byte offsets into raw_bytes, sorted,
     non-empty and non-overlapping. Only the section spans are stored; the
     main spans are their complement, so together the two kinds cover the
-    whole page and reassembling them is byte-identical to the input.
+    whole page: their bytes, joined in offset order, are raw_bytes byte for byte.
     """
 
     site_id: str
@@ -86,10 +86,6 @@ class SlicedPage:
     @property
     def sections_bytes(self) -> list[bytes]:
         return [self.raw_bytes[s:e] for s, e in self.section_spans]
-
-    def reassembled(self) -> bytes:
-        spans = sorted(self.main_spans + self.section_spans)
-        return b"".join(self.raw_bytes[s:e] for s, e in spans)
 
     def in_comment_section(self, offset: int) -> bool:
         """True when the byte at offset falls inside a comment section."""
@@ -269,7 +265,7 @@ def slice_corpus(
     """
     for page in pages:
         if page.site_id not in rules:
-            raise EncodingFileError(f"no slicing rule for site {page.site_id}")
+            raise EncodingFileError(f"no slicing rule for site {clip(page.site_id)}")
     data = [page.raw_bytes for page in pages]
     page_rules = [rules[page.site_id] for page in pages]
     workers = min(workers, os.cpu_count() or 1, len(pages))

@@ -1,4 +1,5 @@
-"""Shared fixture builders: tiny corpora on disk and slicing rules in memory."""
+"""Shared fixture builders: tiny corpora on disk, slicing rules in memory and on
+disk (write_encoding_file), and the partition oracle (assert_partition)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from comslice.corpus import Corpus, Page, load_corpus
-from comslice.encoding import Pattern, Rule
+from comslice.encoding import ABSENT, ENCODING_COLUMNS, REGEX_PREFIX, Pattern, Rule
 from comslice.slicer import SlicedPage, SliceError, slice_corpus
 
 # Standard delimiters used by most fixtures. Sections span from the start
@@ -52,6 +53,27 @@ def make_precise_rule(**overrides) -> Rule:
     )
     fields.update(overrides)
     return make_rule(**fields)
+
+
+def _format_cell(value: object) -> str:
+    if value is None:
+        return ABSENT
+    if not isinstance(value, Pattern):
+        return str(value)
+    if value.kind == "regex":
+        return REGEX_PREFIX + value.source
+    if value.source in ("", ABSENT) or value.source.startswith(REGEX_PREFIX):
+        raise ValueError(f"literal pattern {value.source!r} cannot be written losslessly")
+    return value.source
+
+
+def write_encoding_file(rules: dict[str, Rule], path: str | Path) -> None:
+    """Write rules out in the CSV layout parse_encoding_file reads."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ENCODING_COLUMNS)
+        for rule in rules.values():
+            writer.writerow([_format_cell(getattr(rule, col)) for col in ENCODING_COLUMNS])
 
 
 def fragment(
@@ -159,6 +181,12 @@ class RecordingPool:
         return map(fn, *iterables)
 
 
+def reassembled(sliced: SlicedPage) -> bytes:
+    """The bytes of every main and section span, joined in offset order."""
+    spans = sorted(sliced.main_spans + sliced.section_spans)
+    return b"".join(sliced.raw_bytes[s:e] for s, e in spans)
+
+
 def assert_partition(sliced) -> None:
     """Spans must partition [0, len) exactly and reassemble the raw bytes."""
     spans = sorted(sliced.main_spans + sliced.section_spans)
@@ -171,7 +199,7 @@ def assert_partition(sliced) -> None:
     else:
         assert sliced.raw_bytes == b""
     assert not set(sliced.main_spans) & set(sliced.section_spans)
-    assert sliced.reassembled() == sliced.raw_bytes
+    assert reassembled(sliced) == sliced.raw_bytes
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ import pytest
 from comslice.audit import run_audit
 from comslice.cli import run
 from comslice.corpus import load_corpus
-from comslice.encoding import Pattern, write_encoding_file
+from comslice.encoding import Pattern
 from comslice.linkgraph import (
     Link,
     components,
@@ -48,8 +48,10 @@ from conftest import (
     make_precise_rule,
     make_rule,
     page_bytes,
+    reassembled,
     slice_page,
     write_corpus,
+    write_encoding_file,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -179,7 +181,7 @@ def test_criterion_2_partition_property_on_generated_pages():
                 raw = raw.replace(close_marker, b"")
             sliced, _ = slice_page(raw, rule, f"p{i}.html")
             assert_partition(sliced)
-            assert sliced.reassembled() == raw
+            assert reassembled(sliced) == raw
             checked += 1
         assert checked >= 1_000
         elapsed = time.perf_counter() - started

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from comslice import cli
 from comslice.cli import run
 from comslice.corpus import load_corpus, page_file
-from comslice.encoding import write_encoding_file
 from comslice.errors import ManifestError
 
 from conftest import (
@@ -32,6 +31,7 @@ from conftest import (
     make_rule,
     page_bytes,
     write_corpus,
+    write_encoding_file,
 )
 
 

@@ -90,3 +90,59 @@ def test_readers_return_or_raise_comslice_error(manifest, encoding):
                 read(path)
             except ComsliceError:
                 pass
+
+
+def _write_configs(base: Path, manifest: str, encoding: str) -> dict[str, Path]:
+    """The manifest and the encoding file under base, holding the given texts; returns their paths."""
+    paths = {"manifest": base / "manifest.csv", "encoding": base / "encoding.csv"}
+    paths["manifest"].write_text(manifest, encoding="utf-8")
+    paths["encoding"].write_text(encoding, encoding="utf-8")
+    return paths
+
+
+# each file's header and one valid row
+_VALID = {name: f"{_HEADERS[name]}{','.join(row)}\n" for name, (_, _, row) in FILES.items()}
+
+
+@pytest.mark.parametrize(
+    "manifest, encoding, length",
+    [
+        pytest.param(_VALID["manifest"], _HEADERS["encoding"] + "s1,blog,True,<div>,</div>," + "9" * 5000
+                     + ",False" * 6 + "\n", 5000, id="empty_size-of-5000-digits"),
+        pytest.param("site_id,label,page_path," + "u" * 100_000 + "\n", _VALID["encoding"], 100_000,
+                     id="header-cell"),
+        pytest.param(_HEADERS["manifest"] + "s1,blog,,?" + "q" * 99_999 + "\n", _VALID["encoding"], 100_000,
+                     id="hostless-prefix"),
+        pytest.param(_VALID["manifest"] + "s" * 100_000 + ",blog,p.html,\n", _VALID["encoding"], 100_000,
+                     id="page-under-unknown-site_id"),
+    ],
+)
+def test_a_long_value_is_cut_in_its_error_line(tmp_path, capsys, manifest, encoding, length):
+    paths = _write_configs(tmp_path, manifest, encoding)
+    args = ["links", "--corpus", str(tmp_path), "--out", str(tmp_path / "out")]
+    assert run(args + ["--manifest", str(paths["manifest"]), "--encoding", str(paths["encoding"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"... ({length} characters)" in err
+    assert len(err.encode()) < 400
+
+
+@pytest.mark.parametrize("which", sorted(FILES))
+@pytest.mark.parametrize("fault", ["not-utf-8", "wrong-header", "bad-row"])
+def test_a_config_file_is_named_as_given(tmp_path, monkeypatch, capsys, which, fault):
+    paths = _write_configs(tmp_path, _VALID["manifest"], _VALID["encoding"])
+    what, columns, _ = FILES[which]
+    bad_row, row_message = {
+        "manifest": (b",blog,,s2.org\n", "row 3: empty site_id"),
+        "encoding": (b"s2,blog,maybe" + b",False" * 9 + b"\n", "row 3: has_comments must be True or False, got 'maybe'"),
+    }[which]
+    text, message = {
+        "not-utf-8": (b"\xff", "is not UTF-8 text: invalid start byte at byte 0"),
+        "wrong-header": (b"site_id,oops\n", f"has header ['site_id', 'oops'], expected {list(columns)}"),
+        "bad-row": (paths[which].read_bytes() + bad_row, row_message),
+    }[fault]
+    paths[which].write_bytes(text)
+    monkeypatch.chdir(tmp_path)
+    args = ["links", "--corpus", ".", "--out", "out", "--manifest", "./manifest.csv", "--encoding", "./encoding.csv"]
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {what} ./{which}.csv {message}\n"

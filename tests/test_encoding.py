@@ -13,11 +13,10 @@ from comslice.encoding import (
     Pattern,
     Rule,
     parse_encoding_file,
-    write_encoding_file,
 )
 from comslice.errors import EncodingFileError
 
-from conftest import make_precise_rule, make_rule
+from conftest import make_precise_rule, make_rule, write_encoding_file
 
 HEADER = ",".join(ENCODING_COLUMNS)
 

@@ -17,7 +17,6 @@ from comslice.linkgraph import (
     components,
     crosstab,
     extract_all_links,
-    extract_links,
     iter_hrefs,
     mutual_link_graph,
     write_gexf,
@@ -52,20 +51,20 @@ INDEX = Corpus(
     ],
 )
 def test_href_syntaxes(anchor, href):
-    links = extract_links(sliced_single(b"pre " + anchor + b" post"), INDEX)
+    links = extract_all_links([sliced_single(b"pre " + anchor + b" post")], INDEX)
     assert [l.href for l in links] == [href]
     assert links[0].dst_site_id == "dst"
 
 
 def test_offset_points_at_href_value():
     raw = b'zz<a href="http://dst.org/q">x</a>'
-    (link,) = extract_links(sliced_single(raw), INDEX)
+    (link,) = extract_all_links([sliced_single(raw)], INDEX)
     assert raw[link.offset:link.offset + len(link.href)] == link.href.encode()
 
 
 def test_non_anchor_hrefs_are_ignored():
     raw = b'<link href="http://dst.org/style.css"><area href="http://dst.org/">'
-    assert extract_links(sliced_single(raw), INDEX) == []
+    assert extract_all_links([sliced_single(raw)], INDEX) == []
 
 
 def test_iter_hrefs_lists_every_anchor():
@@ -123,7 +122,7 @@ def test_location_follows_sections():
     outside = b'<a href="http://dst.org/out">o</a>'
     raw = outside + OPEN + inside + CLOSE
     page = sliced_single(raw, sections=[(len(outside), len(raw))])
-    links = extract_links(page, INDEX)
+    links = extract_all_links([page], INDEX)
     assert [(l.href, l.in_comment) for l in links] == [
         ("http://dst.org/out", False),
         ("http://dst.org/in", True),
@@ -132,7 +131,7 @@ def test_location_follows_sections():
 
 def test_external_hrefs_yield_no_links():
     raw = b'<a href="http://alien.net/">a</a><a href="http://src.org/self">s</a>'
-    links = extract_links(sliced_single(raw), INDEX)
+    links = extract_all_links([sliced_single(raw)], INDEX)
     # the alien anchor is visible to iter_hrefs but produces no edge
     assert len(list(iter_hrefs(raw))) == 2
     assert [(l.dst_site_id, l.is_self) for l in links] == [("src", True)]
@@ -140,7 +139,7 @@ def test_external_hrefs_yield_no_links():
 
 def test_page_with_only_external_links_is_empty():
     raw = b'<a href="mailto:x@y.z">m</a><a href="http://nowhere.net/">n</a>'
-    assert extract_links(sliced_single(raw), INDEX) == []
+    assert extract_all_links([sliced_single(raw)], INDEX) == []
 
 
 def mk_link(src: str, dst: str, in_comment: bool = False) -> Link:
