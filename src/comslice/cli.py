@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import re
@@ -285,6 +284,8 @@ def _cmd_slice_rough(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_slice_precise(args: argparse.Namespace, out: Path) -> int:
+    import json  # here: only slice-precise writes JSON
+
     _, rules, sliced, errors = _slice(args)
     _write_page_outputs(sliced, out)
     total = 0
@@ -419,6 +420,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         return args.handler(args, out)
     except (ComsliceError, OSError) as exc:  # OSError: e.g. --out names a file
+        for attr in ("filename", "filename2"):  # an OSError's str quotes its file names whole
+            if isinstance(getattr(exc, attr, None), str):
+                setattr(exc, attr, clip(getattr(exc, attr)))
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

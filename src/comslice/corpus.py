@@ -5,8 +5,10 @@ header ``site_id,label,page_path,url_prefixes``. Each row may define a
 site (when ``url_prefixes`` is non-empty, ``|``-separated), declare a page
 (when ``page_path`` is non-empty, relative to the corpus root), or both.
 A row with a page_path whose site_id is never defined anywhere in the
-manifest is a fatal error. Page bytes are read verbatim and never
-normalized; all downstream slicing is byte-exact against them.
+manifest is a fatal error. load_corpus only checks that each page file is
+a regular file; a page reads its bytes the first time ``raw_bytes`` is
+used, verbatim and never normalized, and keeps them. All downstream
+slicing is byte-exact against them.
 """
 
 from __future__ import annotations
@@ -51,18 +53,44 @@ class Site:
 
 @dataclass(frozen=True)
 class Page:
-    """One crawled HTML file, identified by (site_id, page_path), bytes kept verbatim."""
+    """One crawled HTML file, identified by (site_id, page_path), bytes kept verbatim.
+
+    A Page built in memory holds its bytes from the start; one that
+    load_corpus built reads them on first use (see _PageFile).
+    """
 
     site_id: str
     page_path: str
     raw_bytes: bytes
 
 
+class _PageFile(Page):
+    """A Page whose bytes are read from page_file(page_path) under root the first time raw_bytes is used.
+
+    A file that is no longer a readable regular file by then raises
+    ManifestError, naming it.
+    """
+
+    def __init__(self, site_id: str, page_path: str, root: Path) -> None:
+        object.__setattr__(self, "site_id", site_id)
+        object.__setattr__(self, "page_path", page_path)
+        object.__setattr__(self, "_root", root)
+
+    @functools.cached_property
+    def raw_bytes(self) -> bytes:  # cached_property writes past the frozen __setattr__
+        path = page_file(self.page_path)
+        raw = _read_regular_file(f"{self._root}/{path}")
+        if raw is None:
+            raise ManifestError(f"page file not readable: {self._root / clip(path)}")
+        return raw
+
+
 @dataclass
 class Corpus:
-    """An immutable snapshot: the site registry plus every loaded page.
+    """The site registry plus every declared page, never changed once built.
 
-    ``labels`` maps each registered site_id to its label; ``site_index``
+    A page that load_corpus built reads its file on first use and keeps the
+    bytes. ``labels`` maps each registered site_id to its label; ``site_index``
     is what ``resolve_url`` looks URLs up in.
     """
 
@@ -107,10 +135,12 @@ class Corpus:
 
 
 def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
-    """Load a corpus from disk, reading each page at page_file(page_path) under root.
+    """Load a corpus from disk, its pages at page_file(page_path) under root.
 
-    Fatal conditions (raised as ManifestError, always naming the offending
-    path or row): any fault read_rows refuses, a missing page file, two
+    Each page file is checked with one stat to be a regular file; its bytes
+    are read the first time its raw_bytes is used. Fatal conditions (raised
+    as ManifestError, always naming the offending path or row): any fault
+    read_rows refuses, a page file that is missing or not a regular file, two
     page_paths with one page_file under one site_id (duplicate pages) or two
     (both would write the same stripped file), a page referencing a site_id no
     row defines, a prefix with no host, one prefix claimed by two sites
@@ -161,7 +191,7 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
                 f"for site {clip(site_id)}"
             )
 
-    # Second pass: load page bytes verbatim.
+    # Second pass: check each page file; its bytes are read on first use.
     pages: list[Page] = []
     seen: dict[str, tuple[int, str]] = {}  # page_file -> (row, site_id)
     for lineno, site_id, page_path in page_rows:
@@ -187,13 +217,13 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
                 f"{clip(first_site)} (row {first_row}) and site {clip(site_id)} (row {lineno})"
             )
         seen[path] = (lineno, site_id)
-        raw = _read_regular_file(f"{root}/{path}")
-        if raw is None:  # no readable regular file there: let pathlib say why
-            file_path = root / path
-            if not file_path.is_file():
-                raise ManifestError(f"page file not found: {root / clip(path)}")
-            raw = file_path.read_bytes()
-        pages.append(Page(site_id=site_id, page_path=page_path, raw_bytes=raw))
+        try:
+            regular = stat.S_ISREG(os.stat(f"{root}/{path}").st_mode)
+        except OSError:  # missing, or a name the system refuses (too long, ...)
+            regular = False
+        if not regular:
+            raise ManifestError(f"page file not found: {root / clip(path)}")
+        pages.append(_PageFile(site_id, page_path, root))
 
     return Corpus(registry=list(sites.values()), pages=pages)
 

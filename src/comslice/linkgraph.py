@@ -10,7 +10,6 @@ self-links removed.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -184,6 +183,8 @@ def components(graph: MutualGraph) -> list[list[str]]:
 
 def write_gexf(graph: MutualGraph, labels: dict[str, str], path: str | Path) -> None:
     """Write the graph as GEXF 1.2draft (undirected, nodes labelled by site label)."""
+    import xml.etree.ElementTree as ET  # here: only graph writes XML
+
     root = ET.Element("gexf", xmlns="http://www.gexf.net/1.2draft", version="1.2")
     graph_el = ET.SubElement(root, "graph", defaultedgetype="undirected")
     nodes_el = ET.SubElement(graph_el, "nodes")

@@ -8,6 +8,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path, PurePosixPath
 
@@ -17,6 +19,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from comslice import cli
+from comslice import corpus as corpus_mod
+from comslice.audit import sample_corpus
 from comslice.cli import run
 from comslice.corpus import load_corpus, page_file
 from comslice.errors import ManifestError
@@ -676,3 +680,72 @@ def test_pathlib_spelling_matches_pathlib(parts):
     if rel.startswith("/"):  # page paths are relative
         return
     assert page_file(rel) == str(PurePosixPath(rel))
+
+
+@pytest.fixture
+def twenty_pages(tmp_path):
+    """20 pages over two sites, each with one comment section."""
+    pages = {(f"s{i % 2}", f"p{i}.html"): page_bytes(fragments=[fragment(text=f"mot{i}")]) for i in range(20)}
+    root, manifest = write_corpus(tmp_path, sites={"s0": ("blog", ["s0.org"]), "s1": ("press", ["s1.org"])}, pages=pages)
+    encoding = tmp_path / "encoding.csv"
+    write_encoding_file({s: make_rule(site_id=s, label=label) for s, label in (("s0", "blog"), ("s1", "press"))}, encoding)
+    return {"root": root, "manifest": manifest, "encoding": encoding, "out": tmp_path / "out", "pages": pages}
+
+
+def _count_reads(monkeypatch) -> list[str]:
+    """Record the path of every page file read from now on."""
+    reads = []
+    read = corpus_mod._read_regular_file
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(corpus_mod, "_read_regular_file", counted)
+    return reads
+
+
+def test_audit_reads_only_the_pages_it_samples(twenty_pages, monkeypatch):
+    reads = _count_reads(monkeypatch)
+    assert run(base_args(twenty_pages, "audit") + ["--sample-n", "5"]) == 0
+    sample = sample_corpus(load_corpus(twenty_pages["root"], twenty_pages["manifest"]).pages, 5, 0)
+    assert sorted(reads) == sorted(f"{twenty_pages['root']}/{page.page_path}" for page in sample)
+
+
+@pytest.mark.parametrize("command", ["slice-rough", "links", "tokens"])
+def test_each_page_is_read_once(twenty_pages, monkeypatch, command):
+    reads = _count_reads(monkeypatch)
+    assert run(base_args(twenty_pages, command)) == 0
+    assert sorted(reads) == sorted(f"{twenty_pages['root']}/{path}" for _, path in twenty_pages["pages"])
+
+
+def _remove_after_loading(monkeypatch, page: Path) -> None:
+    """Make the CLI's load_corpus delete page once the corpus is loaded."""
+    load = cli.load_corpus
+
+    def load_then_remove(root, manifest):
+        corpus = load(root, manifest)
+        page.unlink()
+        return corpus
+
+    monkeypatch.setattr(cli, "load_corpus", load_then_remove)
+
+
+def test_a_page_gone_after_loading_fails_before_any_page_is_written(twenty_pages, monkeypatch, capsys):
+    gone = twenty_pages["root"] / "p7.html"
+    _remove_after_loading(monkeypatch, gone)
+    assert run(base_args(twenty_pages, "slice-rough")) == 1
+    assert capsys.readouterr().err == f"error: page file not readable: {gone}\n"
+    assert not any((twenty_pages["out"] / tree).exists() for tree in ("stripped", "sections"))
+
+
+def test_importing_the_cli_loads_neither_json_nor_xml():
+    # compared with the modules loaded before the import, so what site loads does not count
+    code = (
+        "import sys; before = set(sys.modules); import comslice.cli; "
+        "print(sorted({'json', 'xml.etree.ElementTree'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

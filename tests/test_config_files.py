@@ -127,6 +127,26 @@ def test_a_long_value_is_cut_in_its_error_line(tmp_path, capsys, manifest, encod
     assert len(err.encode()) < 400
 
 
+@pytest.mark.parametrize("which", ["page_path", "--manifest", "--encoding", "--stopwords", "--out"])
+def test_a_long_path_is_cut_in_its_error_line(tmp_path, monkeypatch, capsys, which):
+    long = "p" * 5000  # longer than any file name a system allows
+    page_row = f"s1,blog,{long},\n" if which == "page_path" else ""
+    _write_configs(tmp_path, _VALID["manifest"] + page_row, _VALID["encoding"])
+    (tmp_path / "stopwords.txt").write_text("le\n", encoding="utf-8")
+    options = {
+        "--corpus": ".", "--out": "out", "--manifest": "manifest.csv", "--encoding": "encoding.csv",
+        "--stopwords": "stopwords.txt",
+    }
+    if which in options:
+        options[which] = long
+    monkeypatch.chdir(tmp_path)
+    assert run(["tokens", *(arg for option in options.items() for arg in option)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "... (5000 characters)" in err
+    assert len(err.encode()) < 400
+
+
 @pytest.mark.parametrize("which", sorted(FILES))
 @pytest.mark.parametrize("fault", ["not-utf-8", "wrong-header", "bad-row"])
 def test_a_config_file_is_named_as_given(tmp_path, monkeypatch, capsys, which, fault):

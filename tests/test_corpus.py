@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from comslice import corpus as corpus_mod
 from comslice.corpus import Corpus, Page, Site, load_corpus, normalize_url, resolve_url
 from comslice.errors import ManifestError
 
@@ -75,6 +76,29 @@ def test_page_that_is_not_a_regular_file_is_fatal(tmp_path, kind):
         os.mkfifo(root / "s1/p.html")  # opening it must not wait for a writer
     with pytest.raises(ManifestError, match=re.escape(f"page file not found: {root / 's1/p.html'}")):
         load_corpus(root, manifest)
+
+
+def test_a_page_reads_its_file_once_and_on_first_use(tmp_path, monkeypatch):
+    root, manifest = write_corpus(
+        tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): b"x", ("s1", "q.html"): b"y"}
+    )
+    reads = []
+    monkeypatch.setattr(corpus_mod, "_read_regular_file", lambda path: reads.append(path) or b"z")
+    corpus = load_corpus(root, manifest)
+    assert reads == []
+    assert [corpus.pages[1].raw_bytes, corpus.pages[1].raw_bytes] == [b"z", b"z"]
+    assert reads == [f"{root}/q.html"]
+
+
+def test_a_page_file_gone_after_loading_fails_when_read(tmp_path):
+    root, manifest = write_corpus(
+        tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): b"x"}
+    )
+    (page,) = load_corpus(root, manifest).pages
+    (root / "s1/p.html").unlink()
+    os.mkfifo(root / "s1/p.html")  # reading it must not wait for a writer
+    with pytest.raises(ManifestError, match=re.escape(f"page file not readable: {root / 's1/p.html'}")):
+        page.raw_bytes
 
 
 def test_page_path_is_read_where_pathlib_finds_it(tmp_path):
