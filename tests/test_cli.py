@@ -719,21 +719,16 @@ def test_each_page_is_read_once(twenty_pages, monkeypatch, command):
     assert sorted(reads) == sorted(f"{twenty_pages['root']}/{path}" for _, path in twenty_pages["pages"])
 
 
-def _remove_after_loading(monkeypatch, page: Path) -> None:
-    """Make the CLI's load_corpus delete page once the corpus is loaded."""
+def test_a_page_gone_after_loading_fails_before_any_page_is_written(twenty_pages, monkeypatch, capsys):
+    gone = twenty_pages["root"] / "p7.html"
     load = cli.load_corpus
 
     def load_then_remove(root, manifest):
         corpus = load(root, manifest)
-        page.unlink()
+        gone.unlink()
         return corpus
 
     monkeypatch.setattr(cli, "load_corpus", load_then_remove)
-
-
-def test_a_page_gone_after_loading_fails_before_any_page_is_written(twenty_pages, monkeypatch, capsys):
-    gone = twenty_pages["root"] / "p7.html"
-    _remove_after_loading(monkeypatch, gone)
     assert run(base_args(twenty_pages, "slice-rough")) == 1
     assert capsys.readouterr().err == f"error: page file not readable: {gone}\n"
     assert not any((twenty_pages["out"] / tree).exists() for tree in ("stripped", "sections"))
