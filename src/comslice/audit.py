@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 
 from .corpus import Corpus, Page, SiteIndex
 from .encoding import Rule
 from .errors import ComsliceError
-from .linkgraph import extract_all_links
+from .linkgraph import countable, extract_all_links
 from .slicer import SlicedPage, SliceError, precise_slice, slice_corpus
 # tokenize is unused here; perfbench's tracer patches comslice.audit.tokenize
 from .textstats import corpus_token_counts, jsd, tokenize
@@ -109,15 +110,9 @@ def sample_corpus(pages: list[Page], n: int, seed: int) -> list[Page]:
         queue = sorted(per_site[site_id], key=lambda p: p.page_path)
         rng.shuffle(queue)
         queues.append(queue)
-    target = min(n, len(pages))
-    picked: list[Page] = []
-    depth = 0
-    while len(picked) < target:
-        for queue in queues:
-            if depth < len(queue) and len(picked) < target:
-                picked.append(queue[depth])
-        depth += 1
-    return picked
+    # each round takes every site's next page; zip_longest fills a finished site's place with None
+    order = [page for round_ in zip_longest(*queues) for page in round_ if page is not None]
+    return order[: max(n, 0)]
 
 
 def measure_noise(
@@ -130,18 +125,18 @@ def measure_noise(
     ``index`` is ``Corpus.site_index``.
     """
     links = extract_all_links(sliced_pages, index)
-    countable = [l for l in links if not l.is_self]
-    comment_links = sum(1 for l in countable if l.in_comment)
+    countable_links = countable(links)
+    comment_links = sum(1 for l in countable_links if l.in_comment)
     main, comment = corpus_token_counts(sliced_pages, stopwords)
     main_tokens = sum(main.values())
     section_tokens = sum(comment.values())
 
     # without comment tokens the pages with and without comments are the same text
     return NoiseMeasurement(
-        link_noise=comment_links / len(countable) if countable else 0.0,
+        link_noise=comment_links / len(countable_links) if countable_links else 0.0,
         token_noise=section_tokens / (section_tokens + main_tokens) if comment else 0.0,
         text_divergence=jsd(main + comment, main) if comment else 0.0,
-        countable_links=len(countable),
+        countable_links=len(countable_links),
         comment_links=comment_links,
         section_tokens=section_tokens,
         main_tokens=main_tokens,

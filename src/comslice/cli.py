@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from dataclasses import astuple, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -34,7 +35,6 @@ from .linkgraph import (
     write_gexf,
 )
 from .slicer import (
-    ErrorReport,
     SlicedPage,
     build_error_report,
     precise_slice,
@@ -57,7 +57,7 @@ def _bounded(kind: Callable[[str], float], low: float, high: float = math.inf):
         except ValueError:
             value = math.nan  # unparsable: fails the range test below
         if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {what}, got {clip(text)!r}")
         return value
 
     return parse
@@ -67,51 +67,45 @@ _positive_int = _bounded(int, 1)
 _fraction = _bounded(float, 0, 1)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", required=True, help="corpus root directory")
-    parser.add_argument("--manifest", required=True, help="manifest CSV path")
-    parser.add_argument("--encoding", required=True, help="encoding file CSV path")
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker processes for slicing (default: 1)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="comslice",
         description="slice comment sections out of a crawled corpus and "
         "audit the bias they add to link and text analyses",
     )
+    common = argparse.ArgumentParser(add_help=False)  # the options every subcommand takes first
+    common.add_argument("--corpus", required=True, help="corpus root directory")
+    common.add_argument("--manifest", required=True, help="manifest CSV path")
+    common.add_argument("--encoding", required=True, help="encoding file CSV path")
+    common.add_argument("--out", default="out", help="output directory (default: out)")
+    common.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="worker processes for slicing (default: 1)",
+    )
     # each subcommand declares the handler that run calls, the files it writes
     # directly under --out, and whether it also writes every page under stripped/
     # and its sections under sections/; the overwrite guard reads the last two
     sub = parser.add_subparsers(dest="command", required=True)
+    add_subcommand = partial(sub.add_parser, parents=[common])
     error_files = ("error_report.csv", "error_summary.csv")
 
-    p = sub.add_parser("slice-rough", help="split pages into stripped content and comment sections")
-    _add_common(p)
+    p = add_subcommand("slice-rough", help="split pages into stripped content and comment sections")
     p.set_defaults(handler=_cmd_slice_rough, outputs=error_files, page_trees=True)
 
-    p = sub.add_parser("slice-precise", help="slice-rough plus per-comment field extraction")
-    _add_common(p)
+    p = add_subcommand("slice-precise", help="slice-rough plus per-comment field extraction")
     p.set_defaults(
         handler=_cmd_slice_precise, outputs=("comments.jsonl", *error_files), page_trees=True
     )
 
-    p = sub.add_parser("links", help="extract every hyperlink with its location")
-    _add_common(p)
+    p = add_subcommand("links", help="extract every hyperlink with its location")
     p.set_defaults(handler=_cmd_links, outputs=("edges.csv",), page_trees=False)
 
-    p = sub.add_parser("crosstab", help="count links between site labels, inside vs outside comments")
-    _add_common(p)
+    p = add_subcommand("crosstab", help="count links between site labels, inside vs outside comments")
     p.set_defaults(handler=_cmd_crosstab, outputs=("crosstab.csv",), page_trees=False)
 
-    p = sub.add_parser("graph", help="build the mutual-link site graph as GEXF")
-    _add_common(p)
+    p = add_subcommand("graph", help="build the mutual-link site graph as GEXF")
     p.set_defaults(handler=_cmd_graph, outputs=("graph.gexf",), page_trees=False)
     p.add_argument(
         "--include-comments",
@@ -119,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep links located in comment sections (dropped by default)",
     )
 
-    p = sub.add_parser("tokens", help="top token counts with and without comment sections")
-    _add_common(p)
+    p = add_subcommand("tokens", help="top token counts with and without comment sections")
     p.set_defaults(
         handler=_cmd_tokens,
         outputs=("tokens_with_comments.csv", "tokens_without_comments.csv"),
@@ -131,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
 
-    p = sub.add_parser("audit", help="sample the corpus and decide whether slicing is needed")
-    _add_common(p)
+    p = add_subcommand("audit", help="sample the corpus and decide whether slicing is needed")
     p.set_defaults(
         handler=_cmd_audit, outputs=("audit.txt", "audit.csv", "audit_sites.csv"), page_trees=False
     )
@@ -171,7 +163,7 @@ def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
     """
     real = os.path.realpath
     inputs = {
-        real(path): f"{what} {path}"
+        real(path): f"{what} {clip(path)}"
         for what, path in (
             ("manifest", args.manifest),
             ("encoding file", args.encoding),
@@ -186,21 +178,21 @@ def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
     for page in corpus.pages:
         inputs.setdefault(
             f"{root}/{page_file(page.page_path)}",
-            f"page file {page.page_path} of --corpus {args.corpus}",
+            f"page file {clip(page.page_path)} of --corpus {clip(args.corpus)}",
         )
         if args.page_trees:
             stripped, prefix = _page_files(*trees, page.page_path)
-            outputs.append((stripped, f"stripped/{page.page_path}"))
+            outputs.append((stripped, f"stripped/{clip(page.page_path)}"))
             section_prefixes[prefix] = page.page_path
     # a page's sections are numbered from 0: any number may be written
     for path in inputs:
         head, mark, number = path.rpartition(".section-")
         if head + mark in section_prefixes and _SECTION_NUMBER_RE.fullmatch(number):
-            outputs.append((path, f"sections/{section_prefixes[head + mark]}.section-{number}"))
+            outputs.append((path, f"sections/{clip(section_prefixes[head + mark])}.section-{clip(number)}"))
     for path, name in outputs:
         if path in inputs:
             raise ComsliceError(
-                f"--out {args.out} would overwrite the {inputs[path]} with its {name}"
+                f"--out {clip(args.out)} would overwrite the {inputs[path]} with its {name}"
             )
 
 
@@ -210,8 +202,8 @@ def _load(args: argparse.Namespace) -> tuple[Corpus, dict[str, Rule]]:
     for site_id, rule in rules.items():
         if site_id in corpus.labels and rule.label != corpus.labels[site_id]:
             raise ComsliceError(
-                f"encoding file {args.encoding} labels site {clip(site_id)} {clip(rule.label)!r}, "
-                f"but manifest {args.manifest} labels it {clip(corpus.labels[site_id])!r}"
+                f"encoding file {clip(args.encoding)} labels site {clip(site_id)} {clip(rule.label)!r}, "
+                f"but manifest {clip(args.manifest)} labels it {clip(corpus.labels[site_id])!r}"
             )
     _refuse_overwrite(args, corpus)
     return corpus, rules
@@ -248,7 +240,9 @@ def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
             write(f"{prefix}{i}.html", section)
 
 
-def _write_error_report(report: ErrorReport, out: Path) -> None:
+def _report_slices(out: Path, sliced: list[SlicedPage], errors: list, rules: dict[str, Rule]) -> None:
+    """Write error_report.csv and error_summary.csv under out, and print the slicing summary."""
+    report = build_error_report(sliced, errors, rules)
     _write_csv(
         out / "error_report.csv",
         ("site_id", "page_path", "kind", "detail"),
@@ -260,9 +254,6 @@ def _write_error_report(report: ErrorReport, out: Path) -> None:
         ("site_id", "kind", "count"),
         report.summary_rows() + warnings,
     )
-
-
-def _print_slice_summary(report: ErrorReport, sliced: list[SlicedPage]) -> None:
     sections = sum(len(p.section_spans) for p in sliced)
     print(f"sliced {len(sliced)} pages into {sections} comment sections")
     for site_id, kind, count in report.summary_rows():
@@ -277,9 +268,7 @@ def _print_slice_summary(report: ErrorReport, sliced: list[SlicedPage]) -> None:
 def _cmd_slice_rough(args: argparse.Namespace, out: Path) -> int:
     _, rules, sliced, errors = _slice(args)
     _write_page_outputs(sliced, out)
-    report = build_error_report(sliced, errors, rules)
-    _write_error_report(report, out)
-    _print_slice_summary(report, sliced)
+    _report_slices(out, sliced, errors, rules)
     return 0
 
 
@@ -300,9 +289,7 @@ def _cmd_slice_precise(args: argparse.Namespace, out: Path) -> int:
                 # vars() lists Comment's fields in order, without asdict's deep copy
                 fh.write(json.dumps(vars(c), ensure_ascii=False) + "\n")
             total += len(comments)
-    report = build_error_report(sliced, errors, rules)
-    _write_error_report(report, out)
-    _print_slice_summary(report, sliced)
+    _report_slices(out, sliced, errors, rules)
     print(f"extracted {total} comments")
     return 0
 

@@ -81,7 +81,7 @@ class _PageFile(Page):
         path = page_file(self.page_path)
         raw = _read_regular_file(f"{self._root}/{path}")
         if raw is None:
-            raise ManifestError(f"page file not readable: {self._root / clip(path)}")
+            raise ManifestError(f"page file not readable: {Path(clip(self._root)) / clip(path)}")
         return raw
 
 
@@ -149,6 +149,7 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     """
     root = Path(root)
     rows_read = read_rows(manifest, MANIFEST_COLUMNS, ManifestError, "manifest")
+    where = f"manifest {clip(manifest)}"
 
     # First pass: collect site definitions so page rows can appear in any order.
     page_rows: list[tuple[int, str, str]] = []  # (row, site_id, page_path) of each page row
@@ -158,12 +159,12 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
         if page_path:
             page_rows.append((lineno, site_id, page_path))
         if not site_id:
-            raise ManifestError(f"manifest {manifest} row {lineno}: empty site_id")
+            raise ManifestError(f"{where} row {lineno}: empty site_id")
         for column, cell in (("site_id", site_id), ("label", label)):
             bad = _NOT_XML_CHAR_RE.search(cell)
             if bad:
                 raise ManifestError(
-                    f"manifest {manifest} row {lineno}: {column} holds {bad.group()!r}, "
+                    f"{where} row {lineno}: {column} holds {bad.group()!r}, "
                     "which XML 1.0 does not allow"
                 )
         prefixes = tuple(p.strip() for p in url_prefixes.split("|") if p.strip())
@@ -175,19 +176,19 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
             for prefix, norm in zip(prefixes, candidate.normalized):
                 if norm.startswith(("/", "?")):  # it would own every root-relative href
                     raise ManifestError(
-                        f"manifest {manifest} row {lineno}: prefix {clip(prefix)!r} has no host"
+                        f"{where} row {lineno}: prefix {clip(prefix)!r} has no host"
                     )
                 owner = prefix_owner.get(norm)
                 if owner is not None and owner != site_id:
                     raise ManifestError(
-                        f"manifest {manifest} row {lineno}: prefix {clip(prefix)!r} "
+                        f"{where} row {lineno}: prefix {clip(prefix)!r} "
                         f"({clip(norm)!r} after normalization) already owned by site {clip(owner)}"
                     )
                 prefix_owner[norm] = site_id
             sites[site_id] = candidate
         elif known != candidate:
             raise ManifestError(
-                f"manifest {manifest} row {lineno}: conflicting definition "
+                f"{where} row {lineno}: conflicting definition "
                 f"for site {clip(site_id)}"
             )
 
@@ -198,22 +199,22 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
         path = page_file(page_path)
         if page_path.startswith("/") or ".." in path.split("/"):
             raise ManifestError(
-                f"manifest {manifest} row {lineno}: page_path {clip(page_path)!r} "
+                f"{where} row {lineno}: page_path {clip(page_path)!r} "
                 f"must stay inside the corpus root"
             )
         if site_id not in sites:
             raise ManifestError(
-                f"manifest {manifest} row {lineno}: page {clip(page_path)} references "
+                f"{where} row {lineno}: page {clip(page_path)} references "
                 f"unknown site_id {clip(site_id)} (no row defines its url_prefixes)"
             )
         if path in seen:
             first_row, first_site = seen[path]
             if first_site == site_id:
                 raise ManifestError(
-                    f"manifest {manifest} row {lineno}: duplicate page {(clip(site_id), clip(page_path))}"
+                    f"{where} row {lineno}: duplicate page {(clip(site_id), clip(page_path))}"
                 )
             raise ManifestError(
-                f"manifest {manifest}: page_path {clip(page_path)} is declared under site "
+                f"{where}: page_path {clip(page_path)} is declared under site "
                 f"{clip(first_site)} (row {first_row}) and site {clip(site_id)} (row {lineno})"
             )
         seen[path] = (lineno, site_id)
@@ -222,7 +223,7 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
         except OSError:  # missing, or a name the system refuses (too long, ...)
             regular = False
         if not regular:
-            raise ManifestError(f"page file not found: {root / clip(path)}")
+            raise ManifestError(f"page file not found: {Path(clip(root)) / clip(path)}")
         pages.append(_PageFile(site_id, page_path, root))
 
     return Corpus(registry=list(sites.values()), pages=pages)

@@ -164,7 +164,7 @@ def parse_encoding_file(path: str | Path) -> dict[str, Rule]:
     """
     rules: dict[str, Rule] = {}
     for lineno, row in read_rows(path, ENCODING_COLUMNS, EncodingFileError, "encoding file"):
-        where = f"encoding file {path} row {lineno}"
+        where = f"encoding file {clip(path)} row {lineno}"
         rule = _parse_row(row, where)
         if rule.site_id in rules:
             raise EncodingFileError(f"{where}: duplicate site_id {clip(rule.site_id)}")

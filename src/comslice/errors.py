@@ -23,17 +23,17 @@ class EncodingFileError(ComsliceError):
 def read_text(path: str | Path, error: type[ComsliceError], what: str) -> str:
     """The text of a UTF-8 configuration file (a leading BOM is dropped).
 
-    A missing file or bytes that are not UTF-8 raise error, naming the path
-    as given (an empty one as ``''``, not as the ``.`` that ``Path("")`` is).
+    A missing file or bytes that are not UTF-8 raise error, naming the path as
+    given, clipped (an empty one as ``''``, not as the ``.`` that ``Path("")`` is).
     The stopword list is read with it, the two CSV files through read_rows.
     """
     file = Path(path)
     if not file.is_file():
-        raise error(f"{what} not found: {str(path) or repr('')}")
+        raise error(f"{what} not found: {clip(path) or repr('')}")
     try:
         return file.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise error(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise error(f"{what} {clip(path)} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def read_rows(
@@ -46,20 +46,21 @@ def read_rows(
     limit) raises error naming the file and the row.
     """
     text = read_text(path, error, what)
+    where = f"{what} {clip(path)}"
     read = 0  # rows read so far; a csv.Error is in the next one
     try:
         for read, row in enumerate(csv.reader(_lines_without_nul(text)), start=1):
             if read == 1:
                 if tuple(h.strip() for h in row) != columns:
-                    raise error(f"{what} {path} has header {list(map(clip, row))}, expected {list(columns)}")
+                    raise error(f"{where} has header {list(map(clip, row))}, expected {list(columns)}")
             elif row:
                 if len(row) != len(columns):
-                    raise error(f"{what} {path} row {read}: expected {len(columns)} cells, got {len(row)}")
+                    raise error(f"{where} row {read}: expected {len(columns)} cells, got {len(row)}")
                 yield read, [cell.strip() for cell in row]
     except csv.Error as exc:
-        raise error(f"{what} {path} row {read + 1}: {exc}") from None
+        raise error(f"{where} row {read + 1}: {exc}") from None
     if read == 0:
-        raise error(f"{what} is empty: {path}")
+        raise error(f"{what} is empty: {clip(path)}")
 
 
 def clip(value: object) -> str:

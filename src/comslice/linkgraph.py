@@ -81,7 +81,7 @@ def extract_all_links(pages: Iterable[SlicedPage], index: SiteIndex) -> list[Lin
     return links
 
 
-def _countable(links: Iterable[Link]) -> list[Link]:
+def countable(links: Iterable[Link]) -> list[Link]:
     """Non-self links: the ones the network views are built from."""
     return [l for l in links if not l.is_self]
 
@@ -108,7 +108,7 @@ def crosstab(links: Iterable[Link], labels: dict[str, str]) -> list[CrosstabRow]
     comment-located links, largest first, ties broken by label pair.
     """
     counts: dict[tuple[str, str], list[int]] = {}
-    for link in _countable(links):
+    for link in countable(links):
         key = (labels[link.src_site_id], labels[link.dst_site_id])
         pair = counts.setdefault(key, [0, 0])
         pair[1 if link.in_comment else 0] += 1
@@ -140,7 +140,7 @@ def mutual_link_graph(
     ``labels`` is ``Corpus.labels``: its keys, the registered site_ids, are the nodes.
     """
     directed: set[tuple[str, str]] = set()
-    for link in _countable(links):
+    for link in countable(links):
         if not include_comments and link.in_comment:
             continue
         directed.add((link.src_site_id, link.dst_site_id))

@@ -14,7 +14,6 @@ import functools
 import math
 import re
 from collections import Counter
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -43,11 +42,8 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     UTF-8 raises ComsliceError.
     """
     if path is None:
-        text = resources.files("comslice").joinpath("data/stopwords_fr.txt").read_text(
-            encoding="utf-8"
-        )
-    else:
-        text = read_text(path, ComsliceError, "stopword list")
+        path = Path(__file__).with_name("data") / "stopwords_fr.txt"
+    text = read_text(path, ComsliceError, "stopword list")
     words = set()
     for line in text.splitlines():
         word = line.split("#", 1)[0].strip().lower()

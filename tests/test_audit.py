@@ -267,7 +267,7 @@ def _reference_sample(corpus, n, seed):
     return picked
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 11, 12, 50])
+@pytest.mark.parametrize("n", [-1, 0, 1, 3, 5, 11, 12, 50])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_sample_order_matches_reference(n, seed):
     corpus = many_pages_corpus()

@@ -147,6 +147,46 @@ def test_a_long_path_is_cut_in_its_error_line(tmp_path, monkeypatch, capsys, whi
     assert len(err.encode()) < 400
 
 
+_DEEP = "/".join(["d" * 200] * 5)  # a path the system accepts: five directories of 200 characters
+
+
+@pytest.mark.parametrize(
+    "case", ["manifest-header", "missing-manifest", "encoding-row", "label-mismatch", "out-over-the-corpus",
+             "corpus-root", "top-k"]
+)
+def test_a_long_valid_path_is_cut_in_its_error_line(tmp_path, monkeypatch, capsys, case):
+    _write_configs(tmp_path, _VALID["manifest"] + "s1,blog,p.html,\n", _VALID["encoding"])
+    (tmp_path / "p.html").write_bytes(b"<p>x</p>")
+    Path(tmp_path, _DEEP).mkdir(parents=True)
+    options = {"--corpus": ".", "--out": "out", "--manifest": "manifest.csv", "--encoding": "encoding.csv"}
+    command, code = "links", 1
+    if case == "manifest-header":
+        options["--manifest"] = f"{_DEEP}/manifest.csv"
+        Path(tmp_path, options["--manifest"]).write_text("site_id,oops\n", encoding="utf-8")
+    elif case == "missing-manifest":
+        options["--manifest"] = f"{_DEEP}/missing.csv"
+    elif case in ("encoding-row", "label-mismatch"):
+        options["--encoding"] = f"{_DEEP}/encoding.csv"
+        row = "s2,blog,maybe" + ",False" * 9 if case == "encoding-row" else "s1,press,False" + ",False" * 9
+        Path(tmp_path, options["--encoding"]).write_text(_HEADERS["encoding"] + row + "\n", encoding="utf-8")
+    elif case == "out-over-the-corpus":  # out/stripped/p.html is the page file itself
+        options["--out"] = _DEEP
+        Path(tmp_path, _DEEP, "stripped").symlink_to(tmp_path)
+        command = "slice-rough"
+    elif case == "corpus-root":  # the root exists, the page file does not
+        options["--corpus"] = "c" * 225
+        Path(tmp_path, options["--corpus"]).mkdir()
+    else:
+        options["--top-k"] = "x" * 3001
+        command, code = "tokens", 2
+    monkeypatch.chdir(tmp_path)
+    assert run([command, *(arg for option in options.items() for arg in option)]) == code
+    *usage, line = capsys.readouterr().err.splitlines()  # argparse prints usage lines before its error
+    assert line.startswith("error: " if code == 1 else "comslice tokens: error: ")
+    assert code == 2 or not usage
+    assert "characters)" in line and len(line.encode()) < 400
+
+
 @pytest.mark.parametrize("which", sorted(FILES))
 @pytest.mark.parametrize("fault", ["not-utf-8", "wrong-header", "bad-row"])
 def test_a_config_file_is_named_as_given(tmp_path, monkeypatch, capsys, which, fault):
