@@ -21,9 +21,10 @@ from .slicer import SlicedPage
 # An anchor with no href before its '>' (or before the end of the page) matches
 # the group-less second branch, which consumes it up to that '>': an anchor
 # starting before that '>' could not hold an href either, so the scan never
-# re-reads the rest of the page from each of them and stays linear.
+# re-reads the rest of the page from each of them and stays linear. A quoted
+# value with no closing quote after it runs to the end of the page.
 _HREF_RE = re.compile(
-    rb'<a[\s/](?:[^>]*?href\s*=\s*(?:"([^"]*)"|\'([^\']*)\'|([^\s>]+))|[^>]*)',
+    rb'<a[\s/](?:[^>]*?href\s*=\s*(?:"([^"]*)"?|\'([^\']*)\'?|([^\s>]+))|[^>]*)',
     re.IGNORECASE | re.DOTALL,
 )
 

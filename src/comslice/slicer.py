@@ -15,6 +15,7 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .corpus import Page
 from .encoding import Rule
@@ -28,10 +29,6 @@ MULTIPLE_OPENINGS = "multiple_openings"
 EXTRACTION_FAILURE = "extraction_failure"
 
 _DIGITS_RE = re.compile(rb"\d+")
-
-
-class SectionAnomaly(Exception):
-    """A comment section does not look like what its rule promises."""
 
 
 @dataclass(frozen=True)
@@ -159,31 +156,26 @@ def rough_slice(data: bytes, rule: Rule) -> tuple[tuple[Span, ...], str | None]:
     return tuple(sections), MULTIPLE_OPENINGS if len(sections) > 1 else None
 
 
-def split_section(section: bytes, rule: Rule) -> list[Span]:
-    """Split one comment section into per-comment fragments.
+def split_section(section: bytes, rule: Rule) -> tuple[list[Span], str | None]:
+    """Split one comment section into per-comment fragments, as (spans, anomaly).
 
     Fragments run from each comment_pattern match to the next one (the
     last runs to the end of the section). A section whose length equals
     the rule's empty_size holds no comments. A section shorter than
-    empty_size, or one that should hold comments but matches none, raises
-    SectionAnomaly.
+    empty_size, or one that should hold comments but matches none, gets
+    no spans and an anomaly that says why; otherwise the anomaly is None.
     """
     if rule.comment_pattern is None:
         raise ValueError(f"rule for site {rule.site_id} has no comment_pattern")
     if rule.empty_size is not None:
         if len(section) == rule.empty_size:
-            return []
+            return [], None
         if len(section) < rule.empty_size:
-            raise SectionAnomaly(
-                f"section is {len(section)} bytes, shorter than empty_size {rule.empty_size}"
-            )
+            return [], f"section is {len(section)} bytes, shorter than empty_size {rule.empty_size}"
     starts = [m.start() for m in rule.comment_pattern.regex.finditer(section)]
-    if not starts:
-        if rule.empty_size is None:
-            return []
-        raise SectionAnomaly("section exceeds empty_size but no comment matches")
-    bounds = starts + [len(section)]
-    return [(bounds[i], bounds[i + 1]) for i in range(len(starts))]
+    if not starts and rule.empty_size is not None:
+        return [], "section exceeds empty_size but no comment matches"
+    return list(pairwise([*starts, len(section)])), None
 
 
 def _decode(value: bytes | None) -> str | None:
@@ -230,13 +222,9 @@ def precise_slice(sliced: SlicedPage, rule: Rule) -> tuple[list[Comment], list[S
     index = 0
     for start, end in sliced.section_spans:
         section = sliced.raw_bytes[start:end]
-        try:
-            fragments = split_section(section, rule)
-        except SectionAnomaly as anomaly:
-            errors.append(
-                SliceError(sliced.site_id, sliced.page_path, EXTRACTION_FAILURE, str(anomaly))
-            )
-            continue
+        fragments, anomaly = split_section(section, rule)
+        if anomaly is not None:
+            errors.append(SliceError(sliced.site_id, sliced.page_path, EXTRACTION_FAILURE, anomaly))
         for frag_start, frag_end in fragments:
             comments.append(
                 extract_comment(

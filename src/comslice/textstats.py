@@ -10,7 +10,7 @@ are dropped from the token tables, not by the tokenizer.
 
 from __future__ import annotations
 
-import functools
+import codecs
 import math
 import re
 from collections import Counter
@@ -52,11 +52,6 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
-@functools.cache
-def default_stopwords() -> frozenset[str]:
-    return load_stopwords()
-
-
 def _blank(match: re.Match[str]) -> str:
     """Spaces as long as a complete script or style block, so character offsets survive.
 
@@ -81,24 +76,18 @@ def _strip_tags(text: str) -> str:
 def _char_offsets(data: bytes, offsets: Iterable[int]) -> Iterator[int]:
     """``len(data[:offset].decode("utf-8", "replace"))`` for each of the sorted offsets.
 
-    The decoder starts afresh at every byte outside 0x80-0xBF, and at a byte
-    that follows three continuation bytes (0x80-0xBF), since no sequence is
-    longer than four bytes. A prefix's decoded length is therefore the sum
-    of the decoded lengths of its pieces between such split points, and each
-    byte is decoded once, plus at most three per offset.
+    One incremental decoder reads each byte once. The bytes it holds back at
+    an offset are decoded on their own, as the end of the prefix would be:
+    they can give two characters (it holds back 0xED 0xA9, checking the
+    surrogate range later, and those decode as two U+FFFD).
     """
-    end = len(data)
-    split = chars = 0  # a split point and the decoded length of data[:split]
+    decoder = codecs.getincrementaldecoder("utf-8")("replace")
+    done = chars = 0  # bytes fed to the decoder and the characters it gave for them
     for offset in offsets:
-        start = offset
-        while start > split and start < end and data[start] & 0xC0 == 0x80:
-            if start == offset - 3:  # data[offset - 3:offset + 1] all continue a sequence
-                start = offset
-                break
-            start -= 1
-        chars += len(data[split:start].decode("utf-8", errors="replace"))
-        split = start
-        yield chars + len(data[start:offset].decode("utf-8", errors="replace"))
+        chars += len(decoder.decode(data[done:offset]))
+        done = offset
+        held = decoder.getstate()[0]
+        yield chars + len(held.decode("utf-8", "replace"))
 
 
 def _cuts(data: bytes, text: str, lowered: str, bounds: Iterable[int]) -> list[int]:
@@ -161,7 +150,7 @@ def corpus_token_counts(
     two tables once, at the end.
     """
     if stopwords is None:
-        stopwords = default_stopwords()
+        stopwords = load_stopwords()
     main: Counter[str] = Counter()
     comment: Counter[str] = Counter()
     for page in pages:

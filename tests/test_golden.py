@@ -2,10 +2,14 @@
 the exit code and the SHA-256 digests of stdout and of each output file
 committed below.
 
-The workspace holds Latin text only (see README, Determinism): three sites,
-literal and ``re:`` rules, one precise site, accents and ``&eacute;``, a
-``<script>`` block, a cut-off final tag, a page with no opening, an unclosed
-section, two sections on one page, and bytes that are not UTF-8.
+The main workspace holds Latin text only (see README, Determinism): three
+sites, literal and ``re:`` rules, one precise site, accents and ``&eacute;``,
+a ``<script>`` block, a cut-off final tag, a page with no opening, an unclosed
+section, two sections on one page, and bytes that are not UTF-8. Its digests
+are the same on every interpreter. A second workspace holds one page of
+letters assigned in Unicode 14.0 to 15.1, which ``tokens`` and ``audit`` read
+differently under each version of the Unicode database; its digests are
+kept per ``unicodedata.unidata_version``.
 
 The check needs only the standard library and comslice, so any interpreter
 can run it without pytest:
@@ -20,6 +24,7 @@ import hashlib
 import io
 import json
 import tempfile
+import unicodedata
 from pathlib import Path
 
 from comslice.cli import run
@@ -100,6 +105,30 @@ RUNS = {
     "audit": ["audit"],
 }
 
+# letters from Unicode 14.0 (U+1DF00), 15.0 (U+11F04, U+1E4D0) and 15.1 (U+2EBF0), then Latin
+UNICODE_LINE = "\U0001DF00\U0001DF01 \U00011F04\U00011F05 \U0001E4D0\U0001E4D1 \U0002EBF0\U0002EBF1 café"
+
+UNICODE_MANIFEST = b"""site_id,label,page_path,url_prefixes
+delta,blog,,delta.example.org
+delta,blog,delta/d1.html,
+"""
+
+UNICODE_RULES = (
+    RULES.splitlines(keepends=True)[0]
+    + b"delta,blog,True,<aside>,</aside>," + b",".join([b"False"] * 7) + b"\n"
+)
+
+# the line in main content, after it a comment section in Latin, so the
+# section's byte bounds map to characters past the four-byte letters
+UNICODE_PAGES = {
+    "delta/d1.html": f"""<html><body><p>{UNICODE_LINE}</p>
+<aside><p>Un café, merci</p></aside>
+</body></html>
+""".encode(),
+}
+
+UNICODE_RUNS = {"tokens": ["tokens"], "audit": ["audit"]}
+
 # run -> {"exit": code, "stdout": digest, output file under --out: digest}
 GOLDEN: dict[str, dict[str, object]] = {
     "slice-rough": {
@@ -135,13 +164,13 @@ GOLDEN: dict[str, dict[str, object]] = {
     },
     "links": {
         "exit": 0,
-        "stdout": "d43fc597b598655f437d3033a7d1e1d0aa2c7fe671f93b39785c5b6075dd74b2",
-        "edges.csv": "a0e8713d42b9281ab377b82201093bcb01660926130735807eb3b3c623ace4e9"
+        "stdout": "b5b1dcc853a8a1ab34f1c339bbc2c5e2470545fbf8b7190d3169b801a10d878b",
+        "edges.csv": "f81d6f856dcb1820a5e3a632dd083831068da10e64672c128c46d2f002b32560"
     },
     "crosstab": {
         "exit": 0,
         "stdout": "da1be58f4bfe45627606770990829efb4fd92b34e1623d57ba36aaf1413148c3",
-        "crosstab.csv": "8bfab9e2286126e5f6a8e14272f66cf3730fdb9a692755663942a91dceaa3e20"
+        "crosstab.csv": "26ce0160acecdc6e28cf64d1de3263ea9a6f766562779cff8baf11eaea22cfdc"
     },
     "graph": {
         "exit": 0,
@@ -161,33 +190,99 @@ GOLDEN: dict[str, dict[str, object]] = {
     },
     "audit": {
         "exit": 0,
-        "stdout": "9eadc8040ec14457586867d520e9abf3522e554c5ce0c65dd1d552ad359353f5",
-        "audit.csv": "5cec5ae86f89e157c3014f3f7cdb329c4587e9e823367bc20e2ed6cea16eab19",
-        "audit.txt": "9eadc8040ec14457586867d520e9abf3522e554c5ce0c65dd1d552ad359353f5",
+        "stdout": "11067cea09146045d74321217058f5eab7bb82f381747ff58f9645154d8db39e",
+        "audit.csv": "c47f307c7ace609bc56ba42c0582a4b6c62784c8e34e02e17770f2312c29753b",
+        "audit.txt": "11067cea09146045d74321217058f5eab7bb82f381747ff58f9645154d8db39e",
         "audit_sites.csv": "a600ca5a134d9ed4c0dbcc5e0ab86dba19e940b38b7f8789c0e0a380f49c67f2"
     }
 }
 
+# unicodedata.unidata_version -> the same shape as GOLDEN, for UNICODE_RUNS
+UNICODE_GOLDEN: dict[str, dict[str, dict[str, object]]] = {
+    "13.0.0": {
+        "tokens": {
+            "exit": 0,
+            "stdout": "b2ac81c047028e655374d8c7fb58d792e4cc44739b2eb64e5cb7f2a5db1dc2c3",
+            "tokens_with_comments.csv": "0dcb41314ca8ce318125df41b32b05fb9ccf3a825ae43f428d96ca2e86c4040a",
+            "tokens_without_comments.csv": "c0dcd020799f7e573b70ab44491d5ae84264e03907277cc82e73c6a38efbaec4"
+        },
+        "audit": {
+            "exit": 0,
+            "stdout": "e7192fc144cb5c298c34f9c3ccfa6cf27c776c1ee514251cb17f6d1074edf745",
+            "audit.csv": "f8ef4251220046828848c1237b27b0572e6803aba4af007f07127d22d82ae44b",
+            "audit.txt": "e7192fc144cb5c298c34f9c3ccfa6cf27c776c1ee514251cb17f6d1074edf745",
+            "audit_sites.csv": "51f97abe7b63766b07f299e63deb6471a9d68b17d72b764959ab5ae7ccd70832"
+        }
+    },
+    "14.0.0": {
+        "tokens": {
+            "exit": 0,
+            "stdout": "f7fe7e6aa0fae81701f574214af75be80247ff6f51722da67f5c509c9f7bc521",
+            "tokens_with_comments.csv": "14cfa8187865008c470c3c87cd1a0e205566f6562270c1548fa8e3feef42727b",
+            "tokens_without_comments.csv": "951771b205511bb15ca5c5a1ff99897a4f1699f98debe473eaca628a0d175c40"
+        },
+        "audit": {
+            "exit": 0,
+            "stdout": "64b680e251af52cd5e995e022764117e60588228c02974278416c2928b8ea636",
+            "audit.csv": "15471a861556399c137c01f088397a695505641e87913d83a602fbe651214d43",
+            "audit.txt": "64b680e251af52cd5e995e022764117e60588228c02974278416c2928b8ea636",
+            "audit_sites.csv": "51f97abe7b63766b07f299e63deb6471a9d68b17d72b764959ab5ae7ccd70832"
+        }
+    },
+    "15.0.0": {
+        "tokens": {
+            "exit": 0,
+            "stdout": "7f2d50e5482d0f5e0930a3ec57a071751303fe8338a66831291b7606a0b01aea",
+            "tokens_with_comments.csv": "fa51184d5cb9beb8dd8d9f6abe035334bf8ce4b4dc4612c6a4bff2f7aedf6abf",
+            "tokens_without_comments.csv": "838c1230230fb4722c03e32b82d637097210f86847d6a559c2e34e0d5d34f643"
+        },
+        "audit": {
+            "exit": 0,
+            "stdout": "fe680df77bc4937e69d86ae83f4cff711266a82c1040e79f05f38838170258d1",
+            "audit.csv": "34e575af0290d99f276cf9f55f99b4c5f719dc67bc9b2140ec657d5d10f2795c",
+            "audit.txt": "fe680df77bc4937e69d86ae83f4cff711266a82c1040e79f05f38838170258d1",
+            "audit_sites.csv": "51f97abe7b63766b07f299e63deb6471a9d68b17d72b764959ab5ae7ccd70832"
+        }
+    },
+    "15.1.0": {
+        "tokens": {
+            "exit": 0,
+            "stdout": "32a69e1ce25d9673fd74e31e98d3f563ff763c64ef974fd52ae2176f23afa6a2",
+            "tokens_with_comments.csv": "52a73bf9d3cb5c4278a6193e340d9d55edf993d6073f3e3b7de772658f7aba3d",
+            "tokens_without_comments.csv": "7142586f02952f0e4d849a5b8a53a591798cb9f077fc1a68d638b1efeac9fdfd"
+        },
+        "audit": {
+            "exit": 0,
+            "stdout": "394008718b586a038addfd06d1f1f71d585351048158aee6650b92fecf506b8f",
+            "audit.csv": "8ac0fb05d3b73fb104a3f697364d6f0731d9ac131472f35d404d822643209a16",
+            "audit.txt": "394008718b586a038addfd06d1f1f71d585351048158aee6650b92fecf506b8f",
+            "audit_sites.csv": "51f97abe7b63766b07f299e63deb6471a9d68b17d72b764959ab5ae7ccd70832"
+        }
+    }
+}
 
-def write_workspace(base: Path) -> None:
-    """crawl/, manifest.csv and rules.csv under base, from the byte strings above."""
-    for page_path, data in PAGES.items():
+
+def write_workspace(base: Path, pages: dict[str, bytes], manifest: bytes, rules: bytes) -> None:
+    """crawl/, manifest.csv and rules.csv under base, from the given byte strings."""
+    for page_path, data in pages.items():
         file = base / "crawl" / page_path
         file.parent.mkdir(parents=True, exist_ok=True)
         file.write_bytes(data)
-    (base / "manifest.csv").write_bytes(MANIFEST)
-    (base / "rules.csv").write_bytes(RULES)
+    (base / "manifest.csv").write_bytes(manifest)
+    (base / "rules.csv").write_bytes(rules)
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_all(base: Path) -> dict[str, dict[str, object]]:
+def run_all(
+    base: Path, pages: dict[str, bytes], manifest: bytes, rules: bytes, runs: dict[str, list[str]]
+) -> dict[str, dict[str, object]]:
     """Each run's exit code and digests, every run writing to its own --out under base."""
-    write_workspace(base)
+    write_workspace(base, pages, manifest, rules)
     results = {}
-    for name, argv in RUNS.items():
+    for name, argv in runs.items():
         out = base / "out" / name.replace(" ", "")
         options = ["--corpus", base / "crawl", "--manifest", base / "manifest.csv",
                    "--encoding", base / "rules.csv", "--out", out]
@@ -203,10 +298,22 @@ def run_all(base: Path) -> dict[str, dict[str, object]]:
 
 def check_golden(base: Path) -> None:
     """Run every subcommand in base and compare with GOLDEN; on a mismatch, show the actual digests."""
-    actual = run_all(base)
+    actual = run_all(base, PAGES, MANIFEST, RULES, RUNS)
     if actual != GOLDEN:
         raise AssertionError(
             "outputs differ from GOLDEN in tests/test_golden.py; actual:\n" + json.dumps(actual, indent=4)
+        )
+
+
+def check_unicode_golden(base: Path) -> None:
+    """Run tokens and audit on the Unicode page in base and compare with this Unicode version's digests."""
+    actual = run_all(base, UNICODE_PAGES, UNICODE_MANIFEST, UNICODE_RULES, UNICODE_RUNS)
+    version = unicodedata.unidata_version
+    expected = UNICODE_GOLDEN.get(version)
+    if actual != expected:
+        problem = "no UNICODE_GOLDEN entry" if expected is None else "outputs differ from UNICODE_GOLDEN"
+        raise AssertionError(
+            f"{problem} in tests/test_golden.py for Unicode {version}; actual:\n" + json.dumps(actual, indent=4)
         )
 
 
@@ -214,7 +321,13 @@ def test_every_subcommand_gives_the_golden_outputs(tmp_path):
     check_golden(tmp_path)
 
 
+def test_newer_letters_give_the_digests_of_this_unicode_version(tmp_path):
+    check_unicode_golden(tmp_path)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         check_golden(Path(tmp))
-    print("every subcommand gives the golden outputs")
+    with tempfile.TemporaryDirectory() as tmp:
+        check_unicode_golden(Path(tmp))
+    print(f"every subcommand gives the golden outputs (Unicode {unicodedata.unidata_version})")

@@ -56,6 +56,14 @@ def test_href_syntaxes(anchor, href):
     assert links[0].dst_site_id == "dst"
 
 
+@pytest.mark.parametrize(
+    "anchor", [b'<a href="http://dst.org/cut', b"<a href='http://dst.org/cut", b"<a href=http://dst.org/cut"]
+)
+def test_an_anchor_the_end_of_the_page_cuts_off_yields_its_href(anchor):
+    links = extract_all_links([sliced_single(b"pre " + anchor)], INDEX)
+    assert [(l.href, l.dst_site_id) for l in links] == [("http://dst.org/cut", "dst")]
+
+
 def test_offset_points_at_href_value():
     raw = b'zz<a href="http://dst.org/q">x</a>'
     (link,) = extract_all_links([sliced_single(raw)], INDEX)
@@ -86,7 +94,7 @@ def test_iter_hrefs_lists_every_anchor():
 
 # iter_hrefs' regex before it was made linear: the reference for its matches
 _REF_HREF_RE = re.compile(
-    rb'<a[\s/][^>]*?href\s*=\s*(?:"([^"]*)"|\'([^\']*)\'|([^\s>]+))',
+    rb'<a[\s/][^>]*?href\s*=\s*(?:"([^"]*)"?|\'([^\']*)\'?|([^\s>]+))',
     re.IGNORECASE | re.DOTALL,
 )
 

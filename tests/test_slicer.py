@@ -16,7 +16,6 @@ from comslice.slicer import (
     MISSING_CLOSURE,
     MISSING_OPENING,
     MULTIPLE_OPENINGS,
-    SectionAnomaly,
     build_error_report,
     extract_comment,
     precise_slice,
@@ -198,29 +197,30 @@ def test_partition_property(parts):
 
 
 def test_split_section_empty_by_size():
-    assert split_section(OPEN + CLOSE, make_precise_rule()) == []
+    assert split_section(OPEN + CLOSE, make_precise_rule()) == ([], None)
 
 
 def test_split_section_shorter_than_empty_size_is_anomalous():
-    with pytest.raises(SectionAnomaly, match="shorter"):
-        split_section(OPEN, make_precise_rule())
+    spans, anomaly = split_section(OPEN, make_precise_rule())
+    assert spans == [] and "shorter" in anomaly
 
 
 def test_split_section_no_matches_beyond_empty_size_is_anomalous():
     section = OPEN + b"x" * 30 + CLOSE
-    with pytest.raises(SectionAnomaly, match="no comment matches"):
-        split_section(section, make_precise_rule())
+    spans, anomaly = split_section(section, make_precise_rule())
+    assert spans == [] and "no comment matches" in anomaly
 
 
 def test_split_section_without_empty_size_tolerates_no_matches():
     rule = make_precise_rule(empty_size=None)
-    assert split_section(OPEN + b"filler" + CLOSE, rule) == []
+    assert split_section(OPEN + b"filler" + CLOSE, rule) == ([], None)
 
 
 def test_split_section_fragments_cover_tail():
     first, second = fragment(text="un"), fragment(text="deux")
     section = OPEN + first + second + CLOSE
-    spans = split_section(section, make_precise_rule())
+    spans, anomaly = split_section(section, make_precise_rule())
+    assert anomaly is None
     assert len(spans) == 2
     assert section[spans[0][0]:spans[0][1]] == first
     assert section[spans[1][0]:spans[1][1]] == second + CLOSE  # last runs to section end
