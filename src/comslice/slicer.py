@@ -16,6 +16,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
+from operator import itemgetter
 
 from .corpus import Page
 from .encoding import Rule
@@ -86,11 +87,8 @@ class SlicedPage:
 
     def in_comment_section(self, offset: int) -> bool:
         """True when the byte at offset falls inside a comment section."""
-        i = bisect_right(self.section_spans, (offset, len(self.raw_bytes) + 1))
-        if i == 0:
-            return False
-        start, end = self.section_spans[i - 1]
-        return start <= offset < end
+        i = bisect_right(self.section_spans, offset, key=itemgetter(0))
+        return i > 0 and offset < self.section_spans[i - 1][1]
 
 
 @dataclass(frozen=True)
@@ -117,39 +115,31 @@ def rough_slice(data: bytes, rule: Rule) -> tuple[tuple[Span, ...], str | None]:
     """Find the comment sections of one page's bytes, as (spans, error kind).
 
     Sections run from an opening match through the end of the next closing
-    match; with no closing pattern configured, a section runs to the end
-    of the file. A page with no opening, or an opening that never closes,
-    gets no spans, so it is kept whole as main content, and the kind
-    missing_opening or missing_closure. Several sections on one page are
-    all kept, with the kind multiple_openings. Otherwise the kind is None.
+    match, or to the end of the file with no closing pattern configured;
+    an empty section is no section. A page with no section, or an opening
+    that never closes, gets no spans, so it is kept whole as main content,
+    and the kind missing_opening or missing_closure. Several sections on
+    one page are all kept, with the kind multiple_openings; otherwise None.
     """
-    n = len(data)
     if not rule.has_comments:
         return (), None
     assert rule.open_pattern is not None  # guaranteed by encoding validation
 
     sections: list[Span] = []
     pos = 0
-    while pos <= n:
+    while pos <= len(data):
         hit = rule.open_pattern.regex.search(data, pos)
         if hit is None:
             break
-        open_start, open_end = hit.span()
-        if rule.close_pattern is None:
-            end = n
-        else:
-            closing = rule.close_pattern.regex.search(data, open_end)
+        start, end = hit.start(), len(data)
+        if rule.close_pattern is not None:
+            closing = rule.close_pattern.regex.search(data, hit.end())
             if closing is None:
                 return (), MISSING_CLOSURE
             end = closing.end()
-        if end <= open_start:
-            # zero-width pathology: force progress, never emit empty spans
-            end = min(n, open_start + 1)
-        if end > open_start:
-            sections.append((open_start, end))
-        pos = max(end, open_start + 1)
-        if rule.close_pattern is None:
-            break
+        if end > start:
+            sections.append((start, end))
+        pos = max(end, start + 1)
 
     if not sections:
         return (), MISSING_OPENING
@@ -159,9 +149,9 @@ def rough_slice(data: bytes, rule: Rule) -> tuple[tuple[Span, ...], str | None]:
 def split_section(section: bytes, rule: Rule) -> tuple[list[Span], str | None]:
     """Split one comment section into per-comment fragments, as (spans, anomaly).
 
-    Fragments run from each comment_pattern match to the next one (the
-    last runs to the end of the section). A section whose length equals
-    the rule's empty_size holds no comments. A section shorter than
+    Fragments run from each comment_pattern match before the section's end
+    to the next one, or to the end. A section whose length equals the
+    rule's empty_size holds no comments. A section shorter than
     empty_size, or one that should hold comments but matches none, gets
     no spans and an anomaly that says why; otherwise the anomaly is None.
     """
@@ -172,7 +162,7 @@ def split_section(section: bytes, rule: Rule) -> tuple[list[Span], str | None]:
             return [], None
         if len(section) < rule.empty_size:
             return [], f"section is {len(section)} bytes, shorter than empty_size {rule.empty_size}"
-    starts = [m.start() for m in rule.comment_pattern.regex.finditer(section)]
+    starts = [m.start() for m in rule.comment_pattern.regex.finditer(section) if m.start() < len(section)]
     if not starts and rule.empty_size is not None:
         return [], "section exceeds empty_size but no comment matches"
     return list(pairwise([*starts, len(section)])), None
@@ -219,7 +209,6 @@ def precise_slice(sliced: SlicedPage, rule: Rule) -> tuple[list[Comment], list[S
     """
     comments: list[Comment] = []
     errors: list[SliceError] = []
-    index = 0
     for start, end in sliced.section_spans:
         section = sliced.raw_bytes[start:end]
         fragments, anomaly = split_section(section, rule)
@@ -232,11 +221,10 @@ def precise_slice(sliced: SlicedPage, rule: Rule) -> tuple[list[Comment], list[S
                     rule,
                     site_id=sliced.site_id,
                     page_path=sliced.page_path,
-                    index=index,
+                    index=len(comments),
                     offset=start + frag_start,
                 )
             )
-            index += 1
     return comments, errors
 
 

@@ -55,12 +55,9 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
 def _blank(match: re.Match[str]) -> str:
     """Spaces as long as a complete script or style block, so character offsets survive.
 
-    A match is complete when it ends in '>' or its body (group 2) took part.
+    A match is complete when its body (group 2, from the start tag's '>') took part.
     """
-    text = match[0]
-    if text[-1] == ">" or match.lastindex == 2:
-        return " " * len(text)
-    return text
+    return " " * len(match[0]) if match[2] else match[0]
 
 
 def _strip_tags(text: str) -> str:
@@ -186,8 +183,6 @@ def jsd(p: Mapping[str, int], q: Mapping[str, int]) -> float:
     tokens = sorted(set(p) | set(q))
     p_probs = {t: p.get(t, 0) / p_total for t in tokens}
     q_probs = {t: q.get(t, 0) / q_total for t in tokens}
-    if p_probs == q_probs:
-        return 0.0
     if all(p_probs[t] == 0.0 or q_probs[t] == 0.0 for t in tokens):
         return 1.0
 

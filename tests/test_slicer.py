@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+from itertools import pairwise
 
 import pytest
 from hypothesis import given
@@ -136,6 +137,54 @@ def test_zero_width_regex_cannot_loop_forever():
     assert_partition(sliced)
 
 
+def test_identical_zero_width_delimiters_delimit_nothing():
+    lookahead = Pattern("regex", r"(?=<x)")
+    rule = make_rule(open_pattern=lookahead, close_pattern=lookahead)
+    assert rough_slice(b"ab<x>cd<x>ef", rule) == ((), MISSING_OPENING)
+
+
+def test_zero_width_delimiters_leave_the_page_whole():
+    rule = make_rule(open_pattern=Pattern("regex", r"x*"), close_pattern=Pattern("regex", r"y*"))
+    assert rough_slice(b"abc", rule) == ((), MISSING_OPENING)
+    sliced, errors = slice_page(b"abc", rule)
+    assert [e.kind for e in errors] == [MISSING_OPENING]
+    assert sliced.stripped_bytes == b"abc"
+
+
+def test_zero_width_opening_with_a_real_closing_still_slices():
+    rule = make_rule(open_pattern=Pattern("regex", r"(?=<x)"), close_pattern=Pattern("literal", "</x>"))
+    assert rough_slice(b"ab<x>cd</x>ef", rule) == (((2, 11),), None)
+
+
+delimiters = st.one_of(
+    st.builds(Pattern, st.just("literal"), st.sampled_from(["<", "x", "ab", "<x>", "</x>"])),
+    st.builds(Pattern, st.just("regex"), st.sampled_from(["x+", "<[a-z]>", "c.", "a|</x>"])),
+    st.builds(Pattern, st.just("regex"), st.sampled_from(["x*", "(?=<)", "$", "(?<=c)"])),
+)
+
+
+@given(
+    st.text(alphabet="abcxy</>", max_size=24).map(str.encode),
+    delimiters,
+    st.none() | delimiters,
+)
+def test_sections_are_what_the_rule_delimits(data, open_pattern, close_pattern):
+    spans, kind = rough_slice(data, make_rule(open_pattern=open_pattern, close_pattern=close_pattern))
+    for start, end in spans:
+        assert start < end
+        opening = open_pattern.regex.match(data, start)
+        assert opening is not None
+        if close_pattern is None:
+            assert end == len(data)
+        else:
+            assert end == close_pattern.regex.search(data, opening.end()).end()
+    assert all(end <= start for (_, end), (start, _) in pairwise(spans))
+    if spans:
+        assert kind == (MULTIPLE_OPENINGS if len(spans) > 1 else None)
+    else:
+        assert kind in (MISSING_OPENING, MISSING_CLOSURE)
+
+
 def test_tiny_page_splits_around_markers():
     rule = make_rule(
         open_pattern=Pattern("literal", "<c>"),
@@ -224,6 +273,21 @@ def test_split_section_fragments_cover_tail():
     assert len(spans) == 2
     assert section[spans[0][0]:spans[0][1]] == first
     assert section[spans[1][0]:spans[1][1]] == second + CLOSE  # last runs to section end
+
+
+def test_a_match_at_the_end_of_a_section_starts_no_comment():
+    rule = make_precise_rule(empty_size=None, comment_pattern=Pattern("regex", r"(?=<li)|\Z"))
+    assert split_section(b"<ul><li>a<li>b</ul>", rule) == ([(4, 9), (9, 19)], None)
+
+
+def test_a_section_whose_only_match_is_at_its_end_holds_no_comments():
+    rule = make_precise_rule(comment_pattern=Pattern("regex", r"\Z"))
+    raw = OPEN + b"x" * 30 + CLOSE
+    comments, errors = precise_slice(slice_page(raw, rule)[0], rule)
+    assert comments == []
+    assert [(e.kind, e.detail) for e in errors] == [
+        (EXTRACTION_FAILURE, "section exceeds empty_size but no comment matches")
+    ]
 
 
 def test_split_section_requires_comment_pattern():
