@@ -11,41 +11,28 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import zip_longest
 
 from .corpus import Corpus, Page, SiteIndex
 from .encoding import Rule
 from .errors import ComsliceError
 from .linkgraph import countable, extract_all_links
-from .slicer import SlicedPage, SliceError, precise_slice, slice_corpus
+from .slicer import SlicedPage, SliceError, precise_slice, rules_for, slice_corpus
 # tokenize is unused here; perfbench's tracer patches comslice.audit.tokenize
 from .textstats import corpus_token_counts, jsd, tokenize
-
-
-def _cutoff(option: str, line: str):
-    """A Thresholds field: 0.05 unless ``--threshold-<option>`` says otherwise."""
-    return field(default=0.05, metadata={"option": option, "line": line})
 
 
 @dataclass(frozen=True)
 class Thresholds:
     """Per-metric cutoffs, each named after the NoiseMeasurement field it bounds.
 
-    A metric must strictly exceed its cutoff to matter. Each field's audit.txt
-    line is formatted with its value, its cutoff and the measurement's fields.
+    A metric must strictly exceed its cutoff to matter.
     """
 
-    link_noise: float = _cutoff(
-        "link",
-        "{value:.4f} (threshold {cutoff}) "
-        "[{comment_links}/{countable_links} site-to-site links in comments]",
-    )
-    token_noise: float = _cutoff(
-        "token",
-        "{value:.4f} (threshold {cutoff}) [{section_tokens} comment tokens vs {main_tokens} main tokens]",
-    )
-    text_divergence: float = _cutoff("divergence", "{value:.4f} bits (threshold {cutoff})")
+    link_noise: float = 0.05
+    token_noise: float = 0.05
+    text_divergence: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -196,6 +183,7 @@ def run_audit(
     workers: int = 1,
 ) -> AuditResult:
     """Sample, slice (in ``workers`` processes, as ``slice_corpus``) and measure."""
+    rules_for(corpus.pages, rules)  # every page's site needs a rule, sampled or not
     sample = sample_corpus(corpus.pages, sample_n, seed)
     if not sample:
         raise ComsliceError("audit sample is empty: the corpus has no pages")
@@ -213,14 +201,16 @@ def run_audit(
 
 def format_report(result: AuditResult) -> str:
     """Human-readable audit summary (the content of audit.txt)."""
-    m = result.measurement
-    lines = [f"pages sampled: {result.sample_size}"]
-    for f in fields(Thresholds):
-        line = f.metadata["line"].format(
-            value=getattr(m, f.name), cutoff=getattr(result.thresholds, f.name), **vars(m)
-        )
-        lines.append(f"{f.name}: {line}")
-    lines.append("")
+    m, t = result.measurement, result.thresholds
+    lines = [
+        f"pages sampled: {result.sample_size}",
+        f"link_noise: {m.link_noise:.4f} (threshold {t.link_noise}) "
+        f"[{m.comment_links}/{m.countable_links} site-to-site links in comments]",
+        f"token_noise: {m.token_noise:.4f} (threshold {t.token_noise}) "
+        f"[{m.section_tokens} comment tokens vs {m.main_tokens} main tokens]",
+        f"text_divergence: {m.text_divergence:.4f} bits (threshold {t.text_divergence})",
+        "",
+    ]
     if result.exceeded:
         lines.append("decision: SLICE (exceeded: " + ", ".join(result.exceeded) + ")")
     else:

@@ -132,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample-n", type=_positive_int, default=100, help="pages to sample (default: 100)"
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
-    for f in fields(audit_mod.Thresholds):
+    for option, metric in (("link", "link_noise"), ("token", "token_noise"), ("divergence", "text_divergence")):
         p.add_argument(
-            f"--threshold-{f.metadata['option']}",
-            dest=f.name,
+            f"--threshold-{option}",
+            dest=metric,
             type=_fraction,
-            default=f.default,
-            help=f"slice when {f.name} exceeds this (default: {f.default})",
+            default=getattr(audit_mod.Thresholds, metric),
+            help=f"slice when {metric} exceeds this (default: %(default)s)",
         )
     p.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
 
@@ -242,23 +242,18 @@ def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
 
 def _report_slices(out: Path, sliced: list[SlicedPage], errors: list, rules: dict[str, Rule]) -> None:
     """Write error_report.csv and error_summary.csv under out, and print the slicing summary."""
-    report = build_error_report(sliced, errors, rules)
-    _write_csv(
-        out / "error_report.csv",
-        ("site_id", "page_path", "kind", "detail"),
-        report.detail_rows(),
-    )
-    warnings = [(w.site_id, "uniform_size_warning", w.sections) for w in report.warnings]
+    summary, details, warnings = build_error_report(sliced, errors, rules)
+    _write_csv(out / "error_report.csv", ("site_id", "page_path", "kind", "detail"), details)
     _write_csv(
         out / "error_summary.csv",
         ("site_id", "kind", "count"),
-        report.summary_rows() + warnings,
+        summary + [(w.site_id, "uniform_size_warning", w.sections) for w in warnings],
     )
     sections = sum(len(p.section_spans) for p in sliced)
     print(f"sliced {len(sliced)} pages into {sections} comment sections")
-    for site_id, kind, count in report.summary_rows():
+    for site_id, kind, count in summary:
         print(f"  {site_id}: {count} x {kind}")
-    for warning in report.warnings:
+    for warning in warnings:
         print(
             f"  warning: all {warning.sections} sections of {warning.site_id} "
             f"have the same size ({warning.size} bytes); check its delimiters"

@@ -228,6 +228,14 @@ def precise_slice(sliced: SlicedPage, rule: Rule) -> tuple[list[Comment], list[S
     return comments, errors
 
 
+def rules_for(pages: list[Page], rules: dict[str, Rule]) -> list[Rule]:
+    """Each page's rule, in page order; the first site without one raises EncodingFileError."""
+    try:
+        return [rules[page.site_id] for page in pages]
+    except KeyError as missing:
+        raise EncodingFileError(f"no slicing rule for site {clip(missing.args[0])}") from None
+
+
 def slice_corpus(
     pages: list[Page], rules: dict[str, Rule], workers: int = 1
 ) -> tuple[list[SlicedPage], list[SliceError]]:
@@ -239,11 +247,8 @@ def slice_corpus(
     to a serial run. The pool never holds more processes than there are
     CPUs or pages, and with one process left the pages are sliced here.
     """
-    for page in pages:
-        if page.site_id not in rules:
-            raise EncodingFileError(f"no slicing rule for site {clip(page.site_id)}")
+    page_rules = rules_for(pages, rules)
     data = [page.raw_bytes for page in pages]
-    page_rules = [rules[page.site_id] for page in pages]
     workers = min(workers, os.cpu_count() or 1, len(pages))
     if workers <= 1:
         results = map(rough_slice, data, page_rules)
@@ -262,29 +267,15 @@ def slice_corpus(
     return sliced, errors
 
 
-@dataclass
-class ErrorReport:
-    """Aggregated slicing problems: per-site error counts plus warnings."""
-
-    errors: list[SliceError]
-    warnings: list[UniformSizeWarning]
-
-    def summary_rows(self) -> list[tuple[str, str, int]]:
-        """(site_id, kind, count) rows, only non-zero, sorted for stable output."""
-        counts = Counter((e.site_id, e.kind) for e in self.errors)
-        return [(site, kind, n) for (site, kind), n in sorted(counts.items())]
-
-    def detail_rows(self) -> list[tuple[str, str, str, str]]:
-        return sorted((e.site_id, e.page_path, e.kind, e.detail) for e in self.errors)
-
-
 def build_error_report(
     sliced_pages: list[SlicedPage],
     errors: list[SliceError],
     rules: dict[str, Rule],
-) -> ErrorReport:
-    """Assemble the error report, adding uniform-size warnings per site.
+) -> tuple[list[tuple[str, str, int]], list[tuple[str, str, str, str]], list[UniformSizeWarning]]:
+    """The error report as (summary rows, detail rows, uniform-size warnings).
 
+    Summary rows are (site_id, kind, count), only non-zero; detail rows are
+    (site_id, page_path, kind, detail); both are sorted for stable output.
     The warning fires when a site produced two or more sections and every
     one has the same byte length, unless that length is the site's known
     empty_size (all-empty sections are legitimately uniform).
@@ -302,4 +293,7 @@ def build_error_report(
         if rule is not None and rule.empty_size == site_sizes[0]:
             continue
         warnings.append(UniformSizeWarning(site_id, site_sizes[0], len(site_sizes)))
-    return ErrorReport(errors=list(errors), warnings=warnings)
+    counts = Counter((e.site_id, e.kind) for e in errors)
+    summary = sorted((site, kind, n) for (site, kind), n in counts.items())
+    details = sorted((e.site_id, e.page_path, e.kind, e.detail) for e in errors)
+    return summary, details, warnings

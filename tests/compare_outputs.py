@@ -6,15 +6,20 @@ compare against (any copy of another commit, for example one made with
 
     python3 tests/compare_outputs.py /tmp/base/src --seed 21
 
-The ``bulk-slice`` and ``link-dense`` corpora are generated from ``--seed``
-into a temporary directory with perfbench's own workloads (``run.WORKLOADS``,
-``run.setup``, ``run.cli_args``). Each corpus goes through the 11 variants in
-VARIANTS, once with BASE_SRC and once with this tree's ``src``, each run a
-child process ``python -m comslice.cli``. A variant differs when its exit
-code, its stdout, its stderr or the SHA-256 of any output file differs; the
-output directory's path is masked in both streams, since each run writes to
-its own. One line is printed per variant, and the exit status is 1 if any
-differs. Needs only the standard library; pytest does not collect this file.
+Four corpora are compared. The ``bulk-slice`` and ``link-dense`` corpora are
+generated from ``--seed`` into a temporary directory with perfbench's own
+workloads (``run.WORKLOADS``, ``run.setup``, ``run.cli_args``), and each goes
+through the 11 variants in VARIANTS. The two fixed workspaces of
+``tests/test_golden.py``, Latin and Unicode, are written with its
+``write_workspace`` and go through its ``RUNS`` and ``UNICODE_RUNS``. That
+makes 32 variants, each run once with BASE_SRC and once with this tree's
+``src``, each run a child process ``python -m comslice.cli`` with its own hash
+seed; both runs of a variant write to the same ``--out``, emptied after each.
+A variant differs when its exit code, its stdout, its stderr or the SHA-256 of
+any output file differs. One line is printed per variant, and the exit status
+is 1 if any differs. Given this tree's own ``src``, it checks that the same
+inputs give the same outputs across processes. Needs only the standard
+library; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -22,15 +27,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))  # test_golden imports comslice.cli
 
 import run  # noqa: E402  perfbench/run.py
+import test_golden  # noqa: E402  tests/test_golden.py, next to this file
 
 WORKLOADS = ("bulk-slice", "link-dense")
 
@@ -43,11 +52,40 @@ VARIANTS = [
     ("audit", 1, ("--sample-n", "5000")),
 ]
 
+# name -> (pages, manifest, encoding file, {variant: subcommand and options})
+GOLDEN_WORKSPACES = {
+    "golden-latin": (test_golden.PAGES, test_golden.MANIFEST, test_golden.RULES, test_golden.RUNS),
+    "golden-unicode": (
+        test_golden.UNICODE_PAGES,
+        test_golden.UNICODE_MANIFEST,
+        test_golden.UNICODE_RULES,
+        test_golden.UNICODE_RUNS,
+    ),
+}
+
 ASPECTS = ("exit code", "stdout", "stderr", "files")
 
 
+def variants(tmp: Path, seed: int, out: Path) -> Iterator[tuple[str, str, list[str]]]:
+    """(corpus, variant, CLI arguments writing to out) of every run, each corpus written under tmp."""
+    for name in WORKLOADS:
+        workload = run.WORKLOADS[name]
+        corpus_dir = Path(tmp, name, "corpus")
+        run.setup(workload, seed, corpus_dir)
+        for sub, workers, options in VARIANTS:
+            label = " ".join([sub, f"--workers {workers}", *options])
+            yield name, label, [*run.cli_args(sub, corpus_dir, out, workload, workers), *options]
+    for name, (*workspace, runs) in GOLDEN_WORKSPACES.items():
+        base = tmp / name
+        test_golden.write_workspace(base, *workspace)
+        config = ["--corpus", base / "crawl", "--manifest", base / "manifest.csv",
+                  "--encoding", base / "rules.csv", "--out", out]
+        for label, argv in runs.items():
+            yield name, label, [*argv, *map(str, config)]
+
+
 def outcome(src: Path, args: list[str], out: Path) -> tuple:
-    """Exit code, stdout, stderr and {relative path: SHA-256} of one CLI run."""
+    """Exit code, stdout, stderr and {relative path: SHA-256} of one CLI run; then out is removed."""
     env = {k: v for k, v in os.environ.items() if k != "COMSLICE_WORKERS"}
     env["PYTHONPATH"] = str(src)
     child = subprocess.run(
@@ -58,8 +96,8 @@ def outcome(src: Path, args: list[str], out: Path) -> tuple:
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
-    masked = [stream.replace(os.fsencode(out), b"<out>") for stream in (child.stdout, child.stderr)]
-    return child.returncode, *masked, files
+    shutil.rmtree(out, ignore_errors=True)
+    return child.returncode, child.stdout, child.stderr, files
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,25 +109,17 @@ def main(argv: list[str] | None = None) -> int:
     if not (base_src / "comslice" / "cli.py").is_file():
         print(f"error: no comslice/cli.py under {base_src}", file=sys.stderr)
         return 2
-    differing = 0
+    differing = total = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
-        for name in WORKLOADS:
-            workload = run.WORKLOADS[name]
-            corpus_dir = Path(tmp, name, "corpus")
-            run.setup(workload, args.seed, corpus_dir)
-            for i, (sub, workers, options) in enumerate(VARIANTS):
-                results = []
-                for side, src in (("base", base_src), ("this", run.SRC)):
-                    out = Path(tmp, name, f"{side}-{i}")
-                    cli = run.cli_args(sub, corpus_dir, out, workload, workers)
-                    results.append(outcome(src, [*cli, *options], out))
-                base, this = results
-                parts = [what for what, a, b in zip(ASPECTS, base, this) if a != b]
-                differing += bool(parts)
-                label = " ".join([sub, f"--workers {workers}", *options])
-                verdict = "differs: " + ", ".join(parts) if parts else "same"
-                print(f"{name} {label}: exit {this[0]}, {len(this[3])} files, {verdict}")
-    print(f"{differing} of {len(WORKLOADS) * len(VARIANTS)} variants differ at seed {args.seed}")
+        out = Path(tmp, "out")
+        for name, label, cli in variants(Path(tmp), args.seed, out):
+            base, this = (outcome(src, cli, out) for src in (base_src, run.SRC))
+            parts = [what for what, a, b in zip(ASPECTS, base, this) if a != b]
+            differing += bool(parts)
+            total += 1
+            verdict = "differs: " + ", ".join(parts) if parts else "same"
+            print(f"{name} {label}: exit {this[0]}, {len(this[3])} files, {verdict}")
+    print(f"{differing} of {total} variants differ at seed {args.seed}")
     return 1 if differing else 0
 
 

@@ -200,29 +200,29 @@ def _single_site_report(pages: dict[str, bytes], rule=None):
 def test_criterion_3_error_report_classes():
     with criterion(3, "error classes fire exactly once each; uniform-size warning on/off"):
         clean = _single_site_report({"ok.html": page_bytes(fragments=[fragment(text="bien")])})
-        assert clean.errors == [] and clean.warnings == []
+        assert clean == ([], [], [])
 
         no_open = _single_site_report({"p.html": page_bytes(fragments=None)})
-        assert [(e.kind, e.page_path) for e in no_open.errors] == [(MISSING_OPENING, "p.html")]
+        assert [(kind, page) for _, page, kind, _ in no_open[1]] == [(MISSING_OPENING, "p.html")]
 
         no_close = _single_site_report({"p.html": b"text" + OPEN + b"dangling tail"})
-        assert [(e.kind, e.page_path) for e in no_close.errors] == [(MISSING_CLOSURE, "p.html")]
+        assert [(kind, page) for _, page, kind, _ in no_close[1]] == [(MISSING_CLOSURE, "p.html")]
 
         multi = _single_site_report(
             {"p.html": OPEN + b"a" + CLOSE + b"mid" + OPEN + b"b" + CLOSE}
         )
-        assert [(e.kind, e.page_path) for e in multi.errors] == [(MULTIPLE_OPENINGS, "p.html")]
+        assert [(kind, page) for _, page, kind, _ in multi[1]] == [(MULTIPLE_OPENINGS, "p.html")]
 
         same = [fragment(text="toujours pareil")]
         uniform = _single_site_report(
             {f"p{i}.html": page_bytes(main_before=b"intro %d" % i, fragments=same) for i in range(5)}
         )
-        assert [w.sections for w in uniform.warnings] == [5]
+        assert [w.sections for w in uniform[2]] == [5]
 
         varied = _single_site_report(
             {f"p{i}.html": page_bytes(fragments=[fragment(text="x" * (i + 1))]) for i in range(5)}
         )
-        assert varied.warnings == []
+        assert varied[2] == []
 
 
 def test_criterion_4_comment_links_bridge_components():

@@ -630,6 +630,17 @@ def test_each_subcommand_writes_the_files_it_declares(workspace, command):
     assert written == set(declared.outputs) | trees
 
 
+@pytest.mark.parametrize(
+    "argv", [*([command] for command in _subcommands()), ["audit", "--sample-n", "1"]], ids=" ".join
+)
+def test_site_without_a_rule_exits_1_before_any_output(workspace, capsys, argv):
+    # beta has pages but no rule; a one-page audit sample holds only an alpha page
+    write_encoding_file({"alpha": make_precise_rule(site_id="alpha", label="blog")}, workspace["encoding"])
+    assert run([*base_args(workspace, argv[0]), *argv[1:]]) == 1
+    assert capsys.readouterr().err == "error: no slicing rule for site beta\n"
+    assert list(workspace["out"].iterdir()) == []
+
+
 # relative paths that name a file, not the corpus root
 _page_paths = (
     st.lists(st.sampled_from(["a", "b.html", ".", "", "x.section-"]), min_size=1, max_size=4)

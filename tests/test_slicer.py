@@ -17,6 +17,7 @@ from comslice.slicer import (
     MISSING_CLOSURE,
     MISSING_OPENING,
     MULTIPLE_OPENINGS,
+    UniformSizeWarning,
     build_error_report,
     extract_comment,
     precise_slice,
@@ -445,7 +446,7 @@ def _report_for(pages: dict[str, bytes], rule=None):
 
 
 def test_error_report_counts_and_pages():
-    report = _report_for(
+    summary, details, _ = _report_for(
         {
             "good.html": page_bytes(fragments=[fragment(text="ok ok")]),
             "noopen.html": page_bytes(fragments=None),
@@ -453,40 +454,84 @@ def test_error_report_counts_and_pages():
             "multi.html": OPEN + b"a" + CLOSE + OPEN + b"bc" + CLOSE,
         }
     )
-    assert report.summary_rows() == [
+    assert summary == [
         ("s1", MISSING_CLOSURE, 1),
         ("s1", MISSING_OPENING, 1),
         ("s1", MULTIPLE_OPENINGS, 1),
     ]
-    assert ("s1", "noopen.html", MISSING_OPENING, "") in report.detail_rows()
+    assert ("s1", "noopen.html", MISSING_OPENING, "") in details
 
 
 def test_uniform_size_warning_fires_on_equal_sections():
     same = [fragment(text="abc")]
-    report = _report_for(
+    _, _, warnings = _report_for(
         {f"p{i}.html": page_bytes(main_before=b"%d intro" % i, fragments=same) for i in range(5)}
     )
-    assert len(report.warnings) == 1
-    warning = report.warnings[0]
+    assert len(warnings) == 1
+    warning = warnings[0]
     assert warning.site_id == "s1" and warning.sections == 5
 
 
 def test_uniform_size_warning_silent_on_varied_sections():
-    report = _report_for(
+    _, _, warnings = _report_for(
         {f"p{i}.html": page_bytes(fragments=[fragment(text="x" * (i + 1))]) for i in range(5)}
     )
-    assert report.warnings == []
+    assert warnings == []
 
 
 def test_uniform_size_warning_silent_on_single_section():
-    report = _report_for({"p.html": page_bytes(fragments=[fragment(text="x")])})
-    assert report.warnings == []
+    _, _, warnings = _report_for({"p.html": page_bytes(fragments=[fragment(text="x")])})
+    assert warnings == []
 
 
 def test_uniform_size_warning_silent_when_sections_are_legitimately_empty():
     pages = {f"p{i}.html": page_bytes(fragments=[]) for i in range(4)}
-    report = _report_for(pages, rule=make_rule(empty_size=EMPTY_SIZE))
-    assert report.warnings == []
+    _, _, warnings = _report_for(pages, rule=make_rule(empty_size=EMPTY_SIZE))
+    assert warnings == []
+
+
+def test_error_report_whole_value_over_five_sites():
+    uniform = page_bytes(fragments=[fragment(text="abc")])  # one 71-byte section
+    empty = page_bytes(fragments=[])  # one section of EMPTY_SIZE, 40 bytes
+    pages = {
+        ("uniform", "uniform/y.html"): page_bytes(fragments=None),
+        ("uniform", "uniform/a.html"): uniform,
+        ("uniform", "uniform/x.html"): page_bytes(fragments=None),
+        ("uniform", "uniform/b.html"): uniform,
+        ("uniform", "uniform/c.html"): uniform,
+        ("empty", "empty/a.html"): empty,
+        ("empty", "empty/b.html"): empty,
+        ("single", "single/open.html"): b"x" + OPEN + b"dangling",
+        ("single", "single/a.html"): uniform,
+        ("varied", "varied/two.html"): OPEN + b"a" + CLOSE + OPEN + b"bc" + CLOSE,
+        ("varied", "varied/a.html"): uniform,
+        ("norule", "norule/a.html"): empty,
+        ("norule", "norule/b.html"): empty,
+    }
+    sites = {site_id: ("blog", [f"{site_id}.example.org"]) for site_id, _ in pages}
+    corpus = corpus_in_memory(sites=sites, pages=pages)
+    rules = {site_id: make_rule(site_id=site_id) for site_id in sites}
+    rules["empty"] = make_rule(site_id="empty", empty_size=EMPTY_SIZE)
+    sliced, errors = slice_corpus(corpus.pages, rules)
+    del rules["norule"]  # sliced with a rule, reported without one: no empty_size to excuse it
+
+    assert build_error_report(sliced, errors, rules) == (
+        [
+            ("single", MISSING_CLOSURE, 1),
+            ("uniform", MISSING_OPENING, 2),
+            ("varied", MULTIPLE_OPENINGS, 1),
+        ],
+        [
+            ("single", "single/open.html", MISSING_CLOSURE, ""),
+            ("uniform", "uniform/x.html", MISSING_OPENING, ""),
+            ("uniform", "uniform/y.html", MISSING_OPENING, ""),
+            ("varied", "varied/two.html", MULTIPLE_OPENINGS, ""),
+        ],
+        [
+            UniformSizeWarning(site_id="norule", size=40, sections=2),
+            UniformSizeWarning(site_id="uniform", size=71, sections=3),
+        ],
+    )
 
 
 @pytest.mark.parametrize(
