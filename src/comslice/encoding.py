@@ -34,13 +34,14 @@ class Pattern:
         source = self.source.encode("utf-8")
         return re.compile(re.escape(source) if self.kind == "literal" else source)
 
-    def extract(self, data: bytes) -> bytes | None:
-        """Pull one field value out of a comment fragment.
+    def extract(self, data: bytes) -> str | None:
+        """Pull one field value out of a comment fragment, as text.
 
         Regexes return their first group when they have one, otherwise the
         whole match. Literals act as markers: the value is whatever follows
         the marker up to the next ``<``. Values are stripped of ASCII
-        whitespace; an empty result counts as absent.
+        whitespace, then decoded as UTF-8 with invalid bytes replaced
+        (U+FFFD); an empty result counts as absent.
         """
         m = self.regex.search(data)
         if m is None:
@@ -53,7 +54,7 @@ class Pattern:
             end = data.find(b"<", m.end())
             value = data[m.end():] if end == -1 else data[m.end():end]
         value = value.strip()
-        return value or None
+        return value.decode("utf-8", errors="replace") if value else None
 
 
 @dataclass(frozen=True)

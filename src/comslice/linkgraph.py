@@ -10,7 +10,6 @@ self-links removed.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -157,29 +156,21 @@ def mutual_link_graph(
 
 
 def components(graph: MutualGraph) -> list[list[str]]:
-    """Connected components, largest first, each sorted by site_id."""
-    adjacency: dict[str, set[str]] = {node: set() for node in graph.nodes}
+    """Connected components, largest first (ties by smallest member), each sorted by site_id."""
+    parent = {node: node for node in graph.nodes}  # a union-find forest
+
+    def root(node: str) -> str:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]  # path halving
+            node = parent[node]
+        return node
+
     for a, b in graph.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen: set[str] = set()
-    found: list[list[str]] = []
-    for start in graph.nodes:
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        members = []
-        while queue:
-            node = queue.popleft()
-            members.append(node)
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        found.append(sorted(members))
-    found.sort(key=lambda ms: (-len(ms), ms[0]))
-    return found
+        parent[root(a)] = root(b)
+    members: dict[str, list[str]] = {}
+    for node in graph.nodes:
+        members.setdefault(root(node), []).append(node)
+    return sorted(map(sorted, members.values()), key=lambda ms: (-len(ms), ms[0]))
 
 
 def write_gexf(graph: MutualGraph, labels: dict[str, str], path: str | Path) -> None:

@@ -19,7 +19,7 @@ from itertools import pairwise
 from operator import itemgetter
 
 from .corpus import Page
-from .encoding import Rule
+from .encoding import EXTRACTOR_COLUMNS, Rule
 from .errors import EncodingFileError, clip
 
 Span = tuple[int, int]
@@ -29,7 +29,7 @@ MISSING_CLOSURE = "missing_closure"
 MULTIPLE_OPENINGS = "multiple_openings"
 EXTRACTION_FAILURE = "extraction_failure"
 
-_DIGITS_RE = re.compile(rb"\d+")
+_DIGITS_RE = re.compile(r"[0-9]+")  # not \d, which in a str pattern matches any decimal digit
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Comment:
     """One extracted comment: absolute span in the page plus parsed fields.
 
     Every field a rule cannot locate in the fragment stays None; depth is
-    the first run of digits in its raw match, parsed as an int.
+    the first run of ASCII digits in its value, parsed as an int.
     """
 
     site_id: str
@@ -168,35 +168,26 @@ def split_section(section: bytes, rule: Rule) -> tuple[list[Span], str | None]:
     return list(pairwise([*starts, len(section)])), None
 
 
-def _decode(value: bytes | None) -> str | None:
-    return None if value is None else value.decode("utf-8", errors="replace")
-
-
 def extract_comment(
     fragment: bytes, rule: Rule, *, site_id: str, page_path: str, index: int, offset: int
 ) -> Comment:
     """Extract the structured fields of one comment fragment."""
-    depth: int | None = None
-    if rule.depth_pattern is not None:
-        raw_depth = rule.depth_pattern.extract(fragment)
-        if raw_depth is not None:
-            digits = _DIGITS_RE.search(raw_depth)
-            if digits:
-                try:
-                    depth = int(digits.group(0))
-                except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-                    pass
+    values: dict[str, str | int | None] = {}
+    for column in EXTRACTOR_COLUMNS:  # date, author, depth, author_url, text
+        pattern = getattr(rule, column)
+        values[column.removesuffix("_pattern")] = None if pattern is None else pattern.extract(fragment)
+    digits = _DIGITS_RE.search(values["depth"] or "")
+    try:
+        values["depth"] = int(digits[0]) if digits else None
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        values["depth"] = None
     return Comment(
         site_id=site_id,
         page_path=page_path,
         index=index,
         span_start=offset,
         span_end=offset + len(fragment),
-        author=_decode(rule.author_pattern.extract(fragment)) if rule.author_pattern else None,
-        date=_decode(rule.date_pattern.extract(fragment)) if rule.date_pattern else None,
-        depth=depth,
-        author_url=_decode(rule.author_url_pattern.extract(fragment)) if rule.author_url_pattern else None,
-        text=_decode(rule.text_pattern.extract(fragment)) if rule.text_pattern else None,
+        **values,
     )
 
 

@@ -180,20 +180,18 @@ def jsd(p: Mapping[str, int], q: Mapping[str, int]) -> float:
     if p_total == 0 or q_total == 0:
         return 1.0
 
-    tokens = sorted(set(p) | set(q))
-    p_probs = {t: p.get(t, 0) / p_total for t in tokens}
-    q_probs = {t: q.get(t, 0) / q_total for t in tokens}
-    if all(p_probs[t] == 0.0 or q_probs[t] == 0.0 for t in tokens):
+    if not any(p[t] and q[t] for t in p.keys() & q.keys()):
         return 1.0
-
-    def half_kl(probs: dict[str, float]) -> float:
-        terms = []
-        for t in tokens:
-            pt = probs[t]
-            if pt > 0.0:
-                mt = (p_probs[t] + q_probs[t]) / 2.0
-                terms.append(pt * math.log2(pt / mt))
-        return math.fsum(terms)
-
-    value = 0.5 * half_kl(p_probs) + 0.5 * half_kl(q_probs)
+    p_terms: list[float] = []
+    q_terms: list[float] = []
+    for t in p.keys() | q.keys():
+        pt = p.get(t, 0) / p_total
+        qt = q.get(t, 0) / q_total
+        mt = (pt + qt) / 2.0
+        if pt > 0.0:
+            p_terms.append(pt * math.log2(pt / mt))
+        if qt > 0.0:
+            q_terms.append(qt * math.log2(qt / mt))
+    # fsum is correctly rounded, so the set's order (the hash seed) cannot change a bit
+    value = 0.5 * math.fsum(p_terms) + 0.5 * math.fsum(q_terms)
     return min(1.0, max(0.0, value))

@@ -86,8 +86,7 @@ def variants(tmp: Path, seed: int, out: Path) -> Iterator[tuple[str, str, list[s
 
 def outcome(src: Path, args: list[str], out: Path) -> tuple:
     """Exit code, stdout, stderr and {relative path: SHA-256} of one CLI run; then out is removed."""
-    env = {k: v for k, v in os.environ.items() if k != "COMSLICE_WORKERS"}
-    env["PYTHONPATH"] = str(src)
+    env = {**os.environ, "PYTHONPATH": str(src)}
     child = subprocess.run(
         [sys.executable, "-m", "comslice.cli", *args], capture_output=True, env=env, cwd=out.parent
     )

@@ -165,22 +165,22 @@ def test_regex_matching():
 
 def test_extract_regex_group_one_when_present():
     pattern = Pattern("regex", r'data-date="([^"]*)"')
-    assert pattern.extract(b'x <b data-date=" 2020-01-02 "> y') == b"2020-01-02"
+    assert pattern.extract(b'x <b data-date=" 2020-01-02 "> y') == "2020-01-02"
     assert pattern.extract(b"no match") is None
     assert pattern.extract(b'<b data-date="">') is None  # empty value counts as absent
 
 
 def test_extract_regex_whole_match_without_groups():
     pattern = Pattern("regex", r"\d{4}-\d{2}-\d{2}")
-    assert pattern.extract("le 2021-11-30 à midi".encode()) == b"2021-11-30"
+    assert pattern.extract("le 2021-11-30 à midi".encode()) == "2021-11-30"
 
 
 def test_extract_literal_reads_until_next_tag():
     pattern = Pattern("literal", '<span class="author">')
     frag = b'<span class="author"> Marie Curie </span> says'
-    assert pattern.extract(frag) == b"Marie Curie"
+    assert pattern.extract(frag) == "Marie Curie"
     assert pattern.extract(b'<span class="author">') is None  # nothing before EOF
-    assert pattern.extract(b'<span class="author">tail') == b"tail"  # no closing tag
+    assert pattern.extract(b'<span class="author">tail') == "tail"  # no closing tag
 
 
 def test_round_trip_fixture_rules(tmp_path):

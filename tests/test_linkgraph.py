@@ -238,6 +238,25 @@ def test_components_match_networkx(links):
         assert group == sorted(group)
 
 
+WIDE_SITES = [f"s{i:02d}" for i in range(30)]
+wide_graphs = st.builds(
+    lambda nodes, pairs: MutualGraph(
+        nodes=tuple(nodes), edges=frozenset((min(a, b), max(a, b)) for a, b in pairs if a != b)
+    ),
+    st.permutations(WIDE_SITES),  # components must not depend on the order of graph.nodes
+    st.lists(st.tuples(st.sampled_from(WIDE_SITES), st.sampled_from(WIDE_SITES)), max_size=60),
+)
+
+
+@given(wide_graphs)
+def test_components_equal_networkx_on_wide_graphs(graph):
+    oracle = nx.Graph()
+    oracle.add_nodes_from(graph.nodes)
+    oracle.add_edges_from(graph.edges)
+    expected = sorted((sorted(c) for c in nx.connected_components(oracle)), key=lambda c: (-len(c), c[0]))
+    assert components(graph) == expected
+
+
 def test_components_tie_break_is_smallest_member():
     graph = MutualGraph(nodes=("a", "b", "c", "d"), edges=frozenset({("c", "d"), ("a", "b")}))
     assert components(graph) == [["a", "b"], ["c", "d"]]

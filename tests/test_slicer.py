@@ -346,6 +346,34 @@ def test_depth_parses_first_digit_run():
     assert comment.depth == 12
 
 
+@pytest.mark.parametrize(
+    "raw, depth",
+    [
+        ("٣".encode(), None),  # U+0663: a decimal digit, but not an ASCII one
+        ("３".encode(), None),  # U+FF13, fullwidth three
+        ("٣4".encode(), 4),  # int("٣4") would be 34
+        (b"\xe2" + b"7", 7),  # an invalid byte decodes to U+FFFD, the digit stays
+    ],
+)
+def test_depth_takes_ascii_digits_only(raw, depth):
+    rule = make_precise_rule(depth_pattern=Pattern("regex", r'data-depth="([^"]*)"'))
+    frag = COMMENT_SEP + b'<i data-depth="' + raw + b'"></i>'
+    assert extract_comment(frag, rule, site_id="s", page_path="p", index=0, offset=0).depth == depth
+
+
+@pytest.mark.parametrize(
+    "raw, author",
+    [
+        (b"Jo\xffe", "Jo\ufffde"),  # an invalid byte is replaced, not dropped
+        (b" \xc2\xa0Marie\xc2\xa0\n", "\xa0Marie\xa0"),  # only ASCII whitespace is stripped
+    ],
+)
+def test_field_values_are_stripped_bytes_decoded(raw, author):
+    frag = COMMENT_SEP + b'<span class="author">' + raw + b"</span>"
+    comment = extract_comment(frag, make_precise_rule(), site_id="s", page_path="p", index=0, offset=0)
+    assert comment.author == author
+
+
 def test_depth_too_long_for_int_is_none_and_the_comment_stays():
     deep = COMMENT_SEP + b'<i class="depth-' + b"9" * 5000 + b'"></i><p>profond</p>'  # int() takes 4,300
     raw = page_bytes(fragments=[deep, fragment(depth=3, text="court")])

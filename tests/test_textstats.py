@@ -400,6 +400,64 @@ counters = st.dictionaries(
 )
 
 
+def reference_jsd(p, q):
+    """jsd as written with a sorted token list, two probability tables and half_kl."""
+    p_total = sum(p.values())
+    q_total = sum(q.values())
+    if p_total == 0 and q_total == 0:
+        raise ValueError("cannot compare two empty distributions")
+    if p_total == 0 or q_total == 0:
+        return 1.0
+
+    tokens = sorted(set(p) | set(q))
+    p_probs = {t: p.get(t, 0) / p_total for t in tokens}
+    q_probs = {t: q.get(t, 0) / q_total for t in tokens}
+    if all(p_probs[t] == 0.0 or q_probs[t] == 0.0 for t in tokens):
+        return 1.0
+
+    def half_kl(probs):
+        terms = []
+        for t in tokens:
+            pt = probs[t]
+            if pt > 0.0:
+                mt = (p_probs[t] + q_probs[t]) / 2.0
+                terms.append(pt * math.log2(pt / mt))
+        return math.fsum(terms)
+
+    value = 0.5 * half_kl(p_probs) + 0.5 * half_kl(q_probs)
+    return min(1.0, max(0.0, value))
+
+
+count_tables = st.dictionaries(
+    st.sampled_from(["un", "deux", "trois", "quatre", "cinq", "six", "sept", "huit"]),
+    st.integers(min_value=0, max_value=10**9),
+    max_size=8,
+).map(Counter)
+
+
+@given(count_tables, count_tables)
+@example(Counter({"un": 0, "deux": 3}), Counter({"un": 5}))  # a shared token with a zero count
+@example(Counter({"un": 2, "deux": 1}), Counter({"trois": 7}))  # disjoint
+@example(  # disjoint but for a zero count; each side's probabilities sum below 1 in floats
+    Counter({"un": 0, "deux": 2, "trois": 5, "quatre": 623, "cinq": 239}),
+    Counter({"un": 2, "six": 5, "sept": 623, "huit": 239}),
+)
+@example(Counter({"un": 3, "deux": 1}), Counter({"un": 3, "deux": 1}))  # identical
+@example(Counter({"un": 1, "deux": 4}), Counter({"un": 2, "trois": 9}))  # one shared token
+@example(Counter({"un": 2, "deux": 1}), Counter({"un": 1}))  # a side that totals 1
+@example(Counter({"un": 10**9, "deux": 1}), Counter({"un": 1, "deux": 10**9, "trois": 10**9}))
+@example(Counter({"un": 0}), Counter())  # two empty sides
+def test_jsd_is_bit_exact_with_the_reference(p, q):
+    # audit.csv prints repr(text_divergence), so a last-bit change would show there
+    try:
+        expected = reference_jsd(p, q)
+    except ValueError:
+        with pytest.raises(ValueError):
+            jsd(p, q)
+    else:
+        assert repr(jsd(p, q)) == repr(expected)
+
+
 @given(counters, counters)
 def test_jsd_bounds_and_symmetry(p, q):
     if not p and not q:
