@@ -183,6 +183,8 @@ def run_audit(
     workers: int = 1,
 ) -> AuditResult:
     """Sample, slice (in ``workers`` processes, as ``slice_corpus``) and measure."""
+    if sample_n < 1:
+        raise ValueError(f"sample_n must be at least 1, got {sample_n}")
     rules_for(corpus.pages, rules)  # every page's site needs a rule, sampled or not
     sample = sample_corpus(corpus.pages, sample_n, seed)
     if not sample:

@@ -61,7 +61,7 @@ class Page:
 
     site_id: str
     page_path: str
-    raw_bytes: bytes
+    raw_bytes: bytes = field(repr=False, hash=False)  # so neither reads a _PageFile
 
 
 class _PageFile(Page):

@@ -20,16 +20,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import ComsliceError, read_text
 from .slicer import SlicedPage, Span
 
-# _SCRIPT_STYLE_RE also matches a script or style start tag that the end of the
-# text cuts off (no '>'), and _blank leaves that as it is; matching it only skips
-# start positions that could not match either, so no scan re-reads the rest of
-# the text. _TAG_RE runs only on text that ends in '>', where every '<' has a
-# '>' after it, so no match fails.
+# Every '<' starts a tag that runs to the next '>' or, when none follows, to the end
+# of the text, as a browser drops a tag that the end of the file cuts off (WHATWG
+# eof-in-tag). Every match ends there too, so no scan re-reads the rest of the text.
 _SCRIPT_STYLE_RE = re.compile(
-    r"<(script|style)\b[^>]*(>.*?(?:</\1[^>]*>?|\Z))?",
+    r"<(script|style)\b[^>]*(?:>.*?(?:</\1[^>]*>?|\Z))?",
     re.IGNORECASE | re.DOTALL,
 )
-_TAG_RE = re.compile(r"<[^>]*>")
+_TAG_RE = re.compile(r"<[^>]*>?")
 # [^\W\d_]{2,}, spelled so that a scan over non-letters is cheaper
 _WORD_RE = re.compile(r"[^\W\d_][^\W\d_]+")
 
@@ -53,21 +51,8 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
 
 
 def _blank(match: re.Match[str]) -> str:
-    """Spaces as long as a complete script or style block, so character offsets survive.
-
-    A match is complete when its body (group 2, from the start tag's '>') took part.
-    """
-    return " " * len(match[0]) if match[2] else match[0]
-
-
-def _strip_tags(text: str) -> str:
-    """text with each complete tag replaced by one space.
-
-    A tag that the end of text cuts off (a '<' with no '>' after it) stays
-    as text, like everything after the last '>'.
-    """
-    close = text.rfind(">") + 1
-    return _TAG_RE.sub(" ", text[:close]) + text[close:] if close else text
+    """Spaces as long as a script or style block, so character offsets survive."""
+    return " " * len(match[0])
 
 
 def _char_offsets(data: bytes, offsets: Iterable[int]) -> Iterator[int]:
@@ -90,12 +75,11 @@ def _char_offsets(data: bytes, offsets: Iterable[int]) -> Iterator[int]:
 def _cuts(data: bytes, text: str, lowered: str, bounds: Iterable[int]) -> list[int]:
     """0, each sorted byte bound as a position in lowered, and len(lowered).
 
-    A bound inside a complete tag moves past its '>', and one inside a word
-    to the word's end, so no cut splits a tag or a word. Each step scans
-    only the text between its cut and the one before.
+    A bound inside a tag moves past its '>', or to the end of the text, and
+    one inside a word to the word's end, so no cut splits a tag or a word.
+    Each step scans only the text between its cut and the one before.
     """
     same = len(lowered) == len(text)  # no character changed length when lowercased
-    last_close = lowered.rfind(">")
     cuts = [0]
     chars = at = 0  # a character of text and its position in lowered
     for char in _char_offsets(data, bounds):
@@ -105,10 +89,8 @@ def _cuts(data: bytes, text: str, lowered: str, bounds: Iterable[int]) -> list[i
         cut = at
         if cut <= cuts[-1]:  # at the previous cut, or in the tag or word it moved past
             cut = cuts[-1]
-        elif cut <= last_close and (
-            lowered.rfind("<", cuts[-1], cut) > lowered.rfind(">", cuts[-1], cut)
-        ):  # inside a tag, and a '>' follows: the tag is complete
-            cut = lowered.index(">", cut) + 1
+        elif lowered.rfind("<", cuts[-1], cut) > lowered.rfind(">", cuts[-1], cut):  # in a tag
+            cut = lowered.find(">", cut) + 1 or len(lowered)
         else:
             word = _WORD_RE.match(lowered, cut - 1)
             if word:
@@ -127,6 +109,7 @@ def tokenize(data: bytes, sections: Sequence[Span] = ()) -> tuple[list[str], lis
     ``&eacute;`` simply tokenizes as ``eacute``. A token whose first byte
     lies in one of the sorted ``sections`` spans is a comment token
     (``SlicedPage.in_comment_section``); a span boundary never splits a word.
+    A tag runs to its '>' or to the end of the text; a bound inside one moves there.
     The work is linear in the page size and in the number of sections.
     """
     text = _SCRIPT_STYLE_RE.sub(_blank, data.decode("utf-8", errors="replace"))
@@ -134,7 +117,7 @@ def tokenize(data: bytes, sections: Sequence[Span] = ()) -> tuple[list[str], lis
     cuts = _cuts(data, text, lowered, (bound for span in sections for bound in span))
     parts: tuple[list[str], list[str]] = ([], [])
     for i, (start, end) in enumerate(zip(cuts, cuts[1:])):
-        parts[i % 2].extend(_WORD_RE.findall(_strip_tags(lowered[start:end])))
+        parts[i % 2].extend(_WORD_RE.findall(_TAG_RE.sub(" ", lowered[start:end])))
     return parts
 
 

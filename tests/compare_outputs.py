@@ -16,8 +16,10 @@ makes 32 variants, each run once with BASE_SRC and once with this tree's
 ``src``, each run a child process ``python -m comslice.cli`` with its own hash
 seed; both runs of a variant write to the same ``--out``, emptied after each.
 A variant differs when its exit code, its stdout, its stderr or the SHA-256 of
-any output file differs. One line is printed per variant, and the exit status
-is 1 if any differs. Given this tree's own ``src``, it checks that the same
+any output file differs. One line is printed per variant, naming what differs:
+each output file that changed, was added or was removed, the first SHOWN of
+them by path and then a count of the rest. The exit status is 1 if any
+variant differs. Given this tree's own ``src``, it checks that the same
 inputs give the same outputs across processes. Needs only the standard
 library; pytest does not collect this file.
 """
@@ -63,7 +65,8 @@ GOLDEN_WORKSPACES = {
     ),
 }
 
-ASPECTS = ("exit code", "stdout", "stderr", "files")
+ASPECTS = ("exit code", "stdout", "stderr")
+SHOWN = 3  # output files named per differing variant; the rest are counted
 
 
 def variants(tmp: Path, seed: int, out: Path) -> Iterator[tuple[str, str, list[str]]]:
@@ -99,6 +102,15 @@ def outcome(src: Path, args: list[str], out: Path) -> tuple:
     return child.returncode, child.stdout, child.stderr, files
 
 
+def file_changes(base: dict[str, str], this: dict[str, str]) -> list[str]:
+    """'changed P', 'added P' or 'removed P' for each output file P that differs, by path."""
+    return [
+        f"{'added' if path not in base else 'removed' if path not in this else 'changed'} {path}"
+        for path in sorted(base.keys() | this.keys())
+        if base.get(path) != this.get(path)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", type=Path, help="the src directory of the tree to compare against")
@@ -114,6 +126,10 @@ def main(argv: list[str] | None = None) -> int:
         for name, label, cli in variants(Path(tmp), args.seed, out):
             base, this = (outcome(src, cli, out) for src in (base_src, run.SRC))
             parts = [what for what, a, b in zip(ASPECTS, base, this) if a != b]
+            changes = file_changes(base[3], this[3])
+            parts += changes[:SHOWN]
+            if len(changes) > SHOWN:
+                parts.append(f"{len(changes) - SHOWN} more files")
             differing += bool(parts)
             total += 1
             verdict = "differs: " + ", ".join(parts) if parts else "same"

@@ -19,11 +19,20 @@ from comslice.audit import (
     sample_corpus,
     site_diagnostics,
 )
+from comslice.cli import run
 from comslice.corpus import Corpus
 from comslice.errors import ComsliceError
 from comslice.slicer import slice_corpus
 
-from conftest import corpus_in_memory, fragment, make_precise_rule, make_rule, page_bytes
+from conftest import (
+    corpus_in_memory,
+    fragment,
+    make_precise_rule,
+    make_rule,
+    page_bytes,
+    write_corpus,
+    write_encoding_file,
+)
 
 NO_STOPWORDS: frozenset[str] = frozenset()
 
@@ -216,10 +225,23 @@ def test_audit_reports_the_extraction_failures_of_its_sample():
     assert result.sites[0].comments == 1
 
 
-def test_run_audit_without_pages_is_fatal():
+def test_run_audit_without_pages_is_fatal(tmp_path, capsys):
     corpus = corpus_in_memory(sites={"a": ("blog", ["a.org"])}, pages={})
     with pytest.raises(ComsliceError, match="no pages"):
         run_audit(corpus, {"a": make_rule(site_id="a")}, sample_n=5, seed=0)
+    # the same corpus on disk: a manifest with a site and no pages
+    root, manifest = write_corpus(tmp_path, sites={"a": ("blog", ["a.org"])}, pages={})
+    write_encoding_file({"a": make_rule(site_id="a")}, tmp_path / "rules.csv")
+    options = ["--corpus", root, "--manifest", manifest, "--encoding", tmp_path / "rules.csv"]
+    assert run(["audit", *map(str, options), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: audit sample is empty: the corpus has no pages\n"
+
+
+@pytest.mark.parametrize("sample_n", [0, -3])
+def test_run_audit_rejects_a_sample_of_no_pages(two_site_corpus, sample_n):
+    rules = {"alpha": make_rule(site_id="alpha"), "beta": make_rule(site_id="beta")}
+    with pytest.raises(ValueError, match=f"^sample_n must be at least 1, got {sample_n}$"):
+        run_audit(two_site_corpus, rules, sample_n=sample_n, seed=0)
 
 
 def test_run_audit_builds_no_second_corpus(two_site_corpus, monkeypatch):

@@ -101,6 +101,19 @@ def test_a_page_file_gone_after_loading_fails_when_read(tmp_path):
         page.raw_bytes
 
 
+def test_repr_and_hash_of_a_loaded_page_do_not_read_its_file(tmp_path):
+    root, manifest = write_corpus(
+        tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): b"x"}
+    )
+    (page,) = load_corpus(root, manifest).pages
+    (root / "s1/p.html").unlink()
+    assert repr(page) == "_PageFile(site_id='s1', page_path='s1/p.html')"
+    assert hash(page) == hash(Page("s1", "s1/p.html", b"x"))
+    assert "raw_bytes" not in page.__dict__
+    with pytest.raises(ManifestError, match="page file not readable"):
+        page.raw_bytes
+
+
 def test_page_path_is_read_where_pathlib_finds_it(tmp_path):
     root, manifest = write_corpus(
         tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): b"x"}

@@ -92,9 +92,9 @@ def test_pure_numbers_tokenize_to_nothing():
 
 # the tokenizer's regexes before they were made linear: the references for its output
 _REF_SCRIPT_STYLE_RE = re.compile(
-    r"<(script|style)\b[^>]*>.*?(?:</\1[^>]*>|\Z)", re.IGNORECASE | re.DOTALL
+    r"<(script|style)\b[^>]*(?:>.*?(?:</\1[^>]*>|\Z)|\Z)", re.IGNORECASE | re.DOTALL
 )
-_REF_TAG_RE = re.compile(r"<[^>]*>")
+_REF_TAG_RE = re.compile(r"<[^>]*>?")
 _REF_WORD_RE = re.compile(r"[^\W\d_]+")
 
 
@@ -161,17 +161,17 @@ markup_soup = st.lists(
 @settings(max_examples=300)
 @given(markup_soup)
 def test_markup_blanking_matches_the_reference_regexes(text):
-    # script and style blocks turn into spaces of their length, every complete tag into one space
+    # script and style blocks turn into spaces of their length, every tag into one space
     expected = _REF_TAG_RE.sub(" ", _REF_SCRIPT_STYLE_RE.sub(_spaces, text))
     blanked = textstats._SCRIPT_STYLE_RE.sub(textstats._blank, text)
-    assert textstats._strip_tags(blanked) == expected
+    assert textstats._TAG_RE.sub(" ", blanked) == expected
 
 
 @pytest.mark.parametrize(
     "raw, tokens",
     [
         (b"<x" * 500_000, []),  # tags that never close
-        (b"<script" * 142_858, ["script"] * 142_858),  # an unclosed tag is text
+        (b"<script" * 142_858, []),  # a start tag that never closes
         (b"<script>" + b"</script" * 125_000, []),  # end tags that never close
     ],
     ids=["tag", "script-start", "script-end"],
@@ -194,10 +194,7 @@ _OLD_WORD_RE = re.compile(r"[^\W\d_]{2,}")
 
 
 def _old_blank(match: re.Match[str]) -> str:
-    text = match[0]
-    if text[-1] == ">" or match.lastindex == 2:
-        return " " * len(text)
-    return text
+    return " " * len(match[0])
 
 
 def old_tokenize(
@@ -328,6 +325,31 @@ def test_word_cut_by_a_section_boundary_stays_where_it_starts():
     # a cut inside a multi-byte character puts that character before the cut
     raw = "été là".encode()
     assert tokenize(raw, ((1, len(raw)),)) == (["été"], ["là"])
+
+
+@pytest.mark.parametrize(
+    "tail", [b'<a href="http://x.org/cut', b'<style media="screen', b'<script src="http://x.org/cut']
+)
+def test_tag_cut_off_by_the_end_of_the_page_is_markup(tail):
+    assert tokenize(b"<p>mot</p>" + tail) == (["mot"], [])
+
+
+CUT_OFF_PAGE = b'<p>mot</p>salut<a href="http://x.org/cut'
+
+
+@pytest.mark.parametrize(
+    "start, end, expected",
+    [
+        (b"salut", None, (["mot"], ["salut"])),
+        (b"http", None, (["mot", "salut"], [])),  # a bound inside the tag moves to the end
+        (b"href", b"cut", (["mot", "salut"], [])),
+        (b"salut", b"org", (["mot"], ["salut"])),
+    ],
+)
+def test_bound_inside_a_cut_off_tag_adds_no_token(start, end, expected):
+    raw = CUT_OFF_PAGE
+    section = (raw.index(start), raw.index(end) if end else len(raw))
+    assert tokenize(raw, (section,)) == expected
 
 
 def test_load_stopwords_file(tmp_path):
