@@ -4,8 +4,9 @@ The tokenizer is deliberately small and deterministic: decode, drop
 script/style blocks, turn the remaining tags into spaces, lowercase,
 keep runs of letters of length two or more. A page is tokenized once,
 whole; each token goes to main content or to the comments by the byte
-where it starts, so the two parts add up to the whole page. Stopwords
-are dropped from the token tables, not by the tokenizer.
+where it starts, so the two parts add up to the whole page. The tables
+count whitespace pieces first and find the tokens of each distinct piece
+once. Stopwords are dropped from the token tables, not by the tokenizer.
 """
 
 from __future__ import annotations
@@ -101,13 +102,15 @@ def _cuts(data: bytes, text: str, lowered: str, bounds: Iterable[int]) -> list[i
 
 
 def tokenize(data: bytes, sections: Sequence[Span] = ()) -> tuple[list[str], list[str]]:
-    """Turn raw HTML bytes into lowercase word tokens, split as (main, comment).
+    """Lowercase whitespace pieces of raw HTML, (main, comment): named for perfbench's patch point.
 
-    Tokens are maximal runs of Unicode letters (no digits, no underscore)
-    at least two characters long, stopwords included: corpus_token_counts
-    drops those from its tables. HTML entities are left as-is;
-    ``&eacute;`` simply tokenizes as ``eacute``. A token whose first byte
-    lies in one of the sorted ``sections`` spans is a comment token
+    ``_WORD_RE.findall`` over each piece, in order, gives the part's tokens:
+    maximal runs of Unicode letters (no digits, no underscore) at least two
+    characters long, stopwords included (corpus_token_counts drops those
+    from its tables). No whitespace character is a letter, so no token
+    crosses a piece boundary. HTML entities are left as-is; ``&eacute;``
+    simply tokenizes as ``eacute``. A token whose first byte lies in one of
+    the sorted ``sections`` spans is a comment token
     (``SlicedPage.in_comment_section``); a span boundary never splits a word.
     A tag runs to its '>' or to the end of the text; a bound inside one moves there.
     The work is linear in the page size and in the number of sections.
@@ -117,8 +120,22 @@ def tokenize(data: bytes, sections: Sequence[Span] = ()) -> tuple[list[str], lis
     cuts = _cuts(data, text, lowered, (bound for span in sections for bound in span))
     parts: tuple[list[str], list[str]] = ([], [])
     for i, (start, end) in enumerate(zip(cuts, cuts[1:])):
-        parts[i % 2].extend(_WORD_RE.findall(_TAG_RE.sub(" ", lowered[start:end])))
+        parts[i % 2].extend(_TAG_RE.sub(" ", lowered[start:end]).split())
     return parts
+
+
+# A distinct piece costs about 100 bytes in a table besides its characters, and
+# text whose pieces never repeat (numbers, dates, ids) would otherwise hold every
+# one of them; past this many the piece tables are folded into the token tables.
+_MAX_PIECES = 1 << 16
+
+
+def _add_tokens(tokens: Counter[str], pieces: Counter[str]) -> None:
+    """Move counted whitespace pieces into a token table, each distinct piece split once."""
+    for piece, count in pieces.items():
+        for word in _WORD_RE.findall(piece):
+            tokens[word] += count
+    pieces.clear()
 
 
 def corpus_token_counts(
@@ -126,21 +143,29 @@ def corpus_token_counts(
 ) -> tuple[Counter[str], Counter[str]]:
     """Token counts over many pages, as (main, comment); their sum counts whole pages.
 
-    The stopwords (by default the bundled French list) are dropped from the
-    two tables once, at the end.
+    Each side counts its whitespace pieces over the pages, then splits each
+    distinct piece into tokens once, adding the piece's count to each. The
+    piece tables are folded into the token tables after any page that leaves
+    them holding more than ``_MAX_PIECES`` distinct pieces, so besides the
+    token tables they hold at most that many plus one page's. The stopwords
+    (by default the bundled French list) are dropped from the two tables
+    once, at the end.
     """
     if stopwords is None:
         stopwords = load_stopwords()
-    main: Counter[str] = Counter()
-    comment: Counter[str] = Counter()
+    tables: tuple[Counter[str], Counter[str]] = (Counter(), Counter())
+    pieces: tuple[Counter[str], Counter[str]] = (Counter(), Counter())
     for page in pages:
-        page_main, page_comment = tokenize(page.raw_bytes, page.section_spans)
-        main.update(page_main)
-        comment.update(page_comment)
-    for counts in (main, comment):
+        for side, part in zip(pieces, tokenize(page.raw_bytes, page.section_spans)):
+            side.update(part)
+        if len(pieces[0]) + len(pieces[1]) > _MAX_PIECES:
+            for counts, side in zip(tables, pieces):
+                _add_tokens(counts, side)
+    for counts, side in zip(tables, pieces):
+        _add_tokens(counts, side)
         for word in stopwords.intersection(counts):
             del counts[word]
-    return main, comment
+    return tables
 
 
 def top_k(counts: Mapping[str, int], k: int) -> list[tuple[str, int]]:

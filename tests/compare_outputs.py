@@ -9,10 +9,10 @@ compare against (any copy of another commit, for example one made with
 Four corpora are compared. The ``bulk-slice`` and ``link-dense`` corpora are
 generated from ``--seed`` into a temporary directory with perfbench's own
 workloads (``run.WORKLOADS``, ``run.setup``, ``run.cli_args``), and each goes
-through the 11 variants in VARIANTS. The two fixed workspaces of
+through the 12 variants in VARIANTS. The two fixed workspaces of
 ``tests/test_golden.py``, Latin and Unicode, are written with its
 ``write_workspace`` and go through its ``RUNS`` and ``UNICODE_RUNS``. That
-makes 32 variants, each run once with BASE_SRC and once with this tree's
+makes 34 variants, each run once with BASE_SRC and once with this tree's
 ``src``, each run a child process ``python -m comslice.cli`` with its own hash
 seed; both runs of a variant write to the same ``--out``, emptied after each.
 A variant differs when its exit code, its stdout, its stderr or the SHA-256 of
@@ -52,6 +52,7 @@ VARIANTS = [
     ("audit", 2, ()),
     ("slice-rough", 2, ()),
     ("audit", 1, ("--sample-n", "5000")),
+    ("tokens", 1, ("--top-k", "1000000")),  # every count of both tables
 ]
 
 # name -> (pages, manifest, encoding file, {variant: subcommand and options})

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,8 +27,19 @@ from comslice.textstats import (
 NO_STOPWORDS: frozenset[str] = frozenset()
 
 
+def words(pieces: list[str]) -> list[str]:
+    """The tokens of tokenize's whitespace pieces, in order."""
+    return [w for p in pieces for w in textstats._WORD_RE.findall(p)]
+
+
+def token_parts(data: bytes, sections=()) -> tuple[list[str], list[str]]:
+    """The tokens of tokenize's (main, comment) pieces, in order."""
+    main, comment = tokenize(data, sections)
+    return words(main), words(comment)
+
+
 def test_tags_become_separators():
-    assert tokenize(b"ab<br>cd")[0] == ["ab", "cd"]
+    assert words(tokenize(b"ab<br>cd")[0]) == ["ab", "cd"]
 
 
 def test_script_and_style_blocks_vanish():
@@ -34,23 +47,23 @@ def test_script_and_style_blocks_vanish():
         b"<p>garde</p><script type='x'>var secret = 1;</script>"
         b"<STYLE>body { color: red }</STYLE><p>aussi</p>"
     )
-    assert tokenize(raw)[0] == ["garde", "aussi"]
+    assert words(tokenize(raw)[0]) == ["garde", "aussi"]
 
 
 def test_unterminated_script_swallows_the_tail():
-    assert tokenize(b"<p>avant</p><script>var x = 'oops';")[0] == ["avant"]
+    assert words(tokenize(b"<p>avant</p><script>var x = 'oops';")[0]) == ["avant"]
 
 
 def test_lowercase_and_short_tokens_dropped():
-    assert tokenize(b"Grand A et Petit")[0] == ["grand", "et", "petit"]
+    assert words(tokenize(b"Grand A et Petit")[0]) == ["grand", "et", "petit"]
 
 
 def test_digits_and_underscores_break_tokens():
-    assert tokenize(b"abc123def mot_cle v2")[0] == ["abc", "def", "mot", "cle"]
+    assert words(tokenize(b"abc123def mot_cle v2")[0]) == ["abc", "def", "mot", "cle"]
 
 
 def test_accented_letters_are_kept():
-    assert tokenize("Santé publique à Genève".encode())[0] == [
+    assert words(tokenize("Santé publique à Genève".encode())[0]) == [
         "santé",
         "publique",
         "genève",
@@ -58,7 +71,7 @@ def test_accented_letters_are_kept():
 
 
 def test_entities_are_not_decoded():
-    assert tokenize(b"caf&eacute; &amp; th&eacute;")[0] == ["caf", "eacute", "amp", "th", "eacute"]
+    assert words(tokenize(b"caf&eacute; &amp; th&eacute;")[0]) == ["caf", "eacute", "amp", "th", "eacute"]
 
 
 def _page(raw: bytes, sections=()) -> SlicedPage:
@@ -67,27 +80,27 @@ def _page(raw: bytes, sections=()) -> SlicedPage:
 
 def test_default_french_stopwords_apply():
     raw = b"le vaccin et la peur sont dans les esprits"
-    assert tokenize(raw)[0] == ["le", "vaccin", "et", "la", "peur", "sont", "dans", "les", "esprits"]
+    assert words(tokenize(raw)[0]) == ["le", "vaccin", "et", "la", "peur", "sont", "dans", "les", "esprits"]
     main, comment = corpus_token_counts([_page(raw)])
     assert (main, comment) == (Counter({"vaccin": 1, "peur": 1, "esprits": 1}), Counter())
 
 
 def test_bad_utf8_is_replaced_not_fatal():
-    assert tokenize(b"caf\xe9 noir")[0] == ["caf", "noir"]
+    assert words(tokenize(b"caf\xe9 noir")[0]) == ["caf", "noir"]
 
 
 def test_repeated_word_survives_case_and_stopwords():
     raw = b"<p>Le vaccin, le VACCIN!</p>"
-    assert tokenize(raw)[0] == ["le", "vaccin", "le", "vaccin"]
+    assert words(tokenize(raw)[0]) == ["le", "vaccin", "le", "vaccin"]
     assert corpus_token_counts([_page(raw)])[0] == Counter({"vaccin": 2})
 
 
 def test_empty_input_tokenizes_to_nothing():
-    assert tokenize(b"")[0] == []
+    assert words(tokenize(b"")[0]) == []
 
 
 def test_pure_numbers_tokenize_to_nothing():
-    assert tokenize(b"<b>2017 2018</b>")[0] == []
+    assert words(tokenize(b"<b>2017 2018</b>")[0]) == []
 
 
 # the tokenizer's regexes before they were made linear: the references for its output
@@ -117,6 +130,9 @@ html_bytes = st.lists(
             b"<", b">", b" ", b"ab", b"Mot", b"le", b"x1_", "é".encode(),
             "İ".encode(), "Σ".encode(), "ΑΣ".encode(), b"\xe2\x82", b"\xff",
             "€".encode(),
+            # whitespace that str.split() cuts on beyond the ASCII space
+            b"\t", b"\x0b", b"\x1c", b"\x1f", "\x85".encode(), "\xa0".encode(),
+            "\u1680".encode(), "\u2028".encode(), "\u3000".encode(),
         ]
     )
     | st.binary(max_size=6),
@@ -136,13 +152,23 @@ def page_with_sections(draw):
 @given(page_with_sections())
 def test_split_tokens_add_up_to_whole_page_tokens(page):
     data, sections = page
-    main, comment = tokenize(data, sections)
+    main, comment = token_parts(data, sections)
     assert Counter(main) + Counter(comment) == Counter(reference_tokenize(data, NO_STOPWORDS))
-    assert tokenize(data) == (reference_tokenize(data, NO_STOPWORDS), [])
+    assert token_parts(data) == (reference_tokenize(data, NO_STOPWORDS), [])
     # the token tables drop the stopwords
     stopwords = frozenset({"le"})
     main_counts, comment_counts = corpus_token_counts([_page(data, sections)], stopwords)
     assert main_counts + comment_counts == Counter(reference_tokenize(data, stopwords))
+
+
+def test_no_whitespace_is_a_letter():
+    # tokenize cuts on str.split()'s whitespace; a token never crosses a cut only
+    # because no such character is in the token class (the Unicode data varies
+    # with the interpreter)
+    spaces = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+    assert {"\t", "\x1c", "\x85", "\xa0", "\u1680", "\u2028", "\u3000"} <= set(spaces)
+    assert spaces.split() == []
+    assert re.findall(r"[^\W\d_]", spaces) == []
 
 
 def _spaces(match: re.Match[str]) -> str:
@@ -178,7 +204,7 @@ def test_markup_blanking_matches_the_reference_regexes(text):
 )
 def test_tokenize_is_linear_on_markup_that_never_closes(raw, tokens):
     started = time.perf_counter()
-    assert tokenize(raw) == (tokens, [])
+    assert token_parts(raw) == (tokens, [])
     assert time.perf_counter() - started < 1.0
 
 
@@ -252,10 +278,26 @@ def test_tokenize_matches_the_tokenizer_it_replaced(page, stopwords):
     data, sections = page
     # the old tokenizer dropped the stopwords itself, the default list for None
     dropped = load_stopwords() if stopwords is None else stopwords
-    main, comment = tokenize(data, sections)
+    main, comment = token_parts(data, sections)
     assert ([t for t in main if t not in dropped], [t for t in comment if t not in dropped]) == (
         old_tokenize(data, stopwords, sections)
     )
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(page_with_sections(), max_size=5),
+    st.sampled_from([frozenset(), frozenset({"le", "ab", "mot"}), None]),
+    st.sampled_from([0, 3, textstats._MAX_PIECES]),
+)
+def test_corpus_counts_sum_each_pages_tokens(pages, stopwords, max_pieces):
+    expected: tuple[Counter[str], Counter[str]] = (Counter(), Counter())
+    for data, sections in pages:
+        for counts, tokens in zip(expected, old_tokenize(data, stopwords, sections)):
+            counts.update(tokens)
+    # a small limit folds the piece tables into the token tables between pages
+    with mock.patch.object(textstats, "_MAX_PIECES", max_pieces):
+        assert corpus_token_counts([_page(*page) for page in pages], stopwords) == expected
 
 
 @settings(max_examples=500)
@@ -278,6 +320,7 @@ def test_tokenize_is_linear_in_the_number_of_sections():
     started = time.perf_counter()
     main, comment = tokenize(data, sections)
     assert time.perf_counter() - started < 1.0
+    main, comment = words(main), words(comment)
     assert len(sections) == 4000
     assert Counter(main) + Counter(comment) == Counter(reference_tokenize(data, NO_STOPWORDS))
 
@@ -303,35 +346,35 @@ def test_token_goes_where_its_first_byte_lies(data, bounds):
         if len(m.group()) >= 2:
             start = len(original[: m.start()].encode())
             expected[page.in_comment_section(start)].append(m.group())
-    assert tokenize(data, sections) == expected
+    assert token_parts(data, sections) == expected
 
 
 def test_removed_section_never_joins_words():
     raw = b'<p>bonjour<div id="comments">salut<!-- END -->monde</p>'
     section = (raw.index(b"<div"), raw.index(b"monde"))
-    assert tokenize(raw, (section,)) == (["bonjour", "monde"], ["salut"])
+    assert token_parts(raw, (section,)) == (["bonjour", "monde"], ["salut"])
 
 
 def test_section_inside_script_adds_no_tokens():
     raw = b'<p>texte</p><script><div id="comments">cache<!-- END --></script><p>fin</p>'
     section = (raw.index(b"<div"), raw.index(b"</script>"))
-    assert tokenize(raw, (section,)) == (["texte", "fin"], [])
+    assert token_parts(raw, (section,)) == (["texte", "fin"], [])
 
 
 def test_word_cut_by_a_section_boundary_stays_where_it_starts():
     raw = b"avant parole suite"
-    assert tokenize(raw, ((9, 15),)) == (["avant", "parole"], ["suite"])
-    assert tokenize(raw, ((6, 9),)) == (["avant", "suite"], ["parole"])
+    assert token_parts(raw, ((9, 15),)) == (["avant", "parole"], ["suite"])
+    assert token_parts(raw, ((6, 9),)) == (["avant", "suite"], ["parole"])
     # a cut inside a multi-byte character puts that character before the cut
     raw = "été là".encode()
-    assert tokenize(raw, ((1, len(raw)),)) == (["été"], ["là"])
+    assert token_parts(raw, ((1, len(raw)),)) == (["été"], ["là"])
 
 
 @pytest.mark.parametrize(
     "tail", [b'<a href="http://x.org/cut', b'<style media="screen', b'<script src="http://x.org/cut']
 )
 def test_tag_cut_off_by_the_end_of_the_page_is_markup(tail):
-    assert tokenize(b"<p>mot</p>" + tail) == (["mot"], [])
+    assert token_parts(b"<p>mot</p>" + tail) == (["mot"], [])
 
 
 CUT_OFF_PAGE = b'<p>mot</p>salut<a href="http://x.org/cut'
@@ -349,7 +392,7 @@ CUT_OFF_PAGE = b'<p>mot</p>salut<a href="http://x.org/cut'
 def test_bound_inside_a_cut_off_tag_adds_no_token(start, end, expected):
     raw = CUT_OFF_PAGE
     section = (raw.index(start), raw.index(end) if end else len(raw))
-    assert tokenize(raw, (section,)) == expected
+    assert token_parts(raw, (section,)) == expected
 
 
 def test_load_stopwords_file(tmp_path):
