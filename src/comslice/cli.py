@@ -146,11 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _SECTION_NUMBER_RE = re.compile(r"(?:0|[1-9][0-9]*)\.html")
+# O_BINARY (Windows) keeps the bytes untranslated
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
-def _page_files(stripped: str, sections: str, page_path: str) -> tuple[str, str]:
-    """A page's file under stripped/, and the prefix its numbered files under sections/ extend."""
-    return f"{stripped}/{page_file(page_path)}", f"{sections}/{page_file(page_path + '.section-')}"
+def _page_files(page_path: str) -> tuple[str, str]:
+    """A page's file under stripped/, and the prefix its numbered files under sections/ extend.
+
+    The first is also where the page is read under the corpus root.
+    """
+    return page_file(page_path), page_file(page_path + ".section-")
 
 
 def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
@@ -173,17 +178,16 @@ def _refuse_overwrite(args: argparse.Namespace, corpus: Corpus) -> None:
     }
     root, out = real(args.corpus), real(args.out)
     outputs = [(real(f"{out}/{name}"), name) for name in args.outputs]
-    trees = real(f"{out}/stripped"), real(f"{out}/sections")
+    stripped, sections = real(f"{out}/stripped"), real(f"{out}/sections")
     section_prefixes: dict[str, str] = {}  # sections/ prefix -> page_path
     for page in corpus.pages:
+        file, prefix = _page_files(page.page_path)
         inputs.setdefault(
-            f"{root}/{page_file(page.page_path)}",
-            f"page file {clip(page.page_path)} of --corpus {clip(args.corpus)}",
+            f"{root}/{file}", f"page file {clip(page.page_path)} of --corpus {clip(args.corpus)}"
         )
         if args.page_trees:
-            stripped, prefix = _page_files(*trees, page.page_path)
-            outputs.append((stripped, f"stripped/{clip(page.page_path)}"))
-            section_prefixes[prefix] = page.page_path
+            outputs.append((f"{stripped}/{file}", f"stripped/{clip(page.page_path)}"))
+            section_prefixes[f"{sections}/{prefix}"] = page.page_path
     # a page's sections are numbered from 0: any number may be written
     for path in inputs:
         head, mark, number = path.rpartition(".section-")
@@ -230,14 +234,19 @@ def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
         if folder not in made:
             os.makedirs(folder, exist_ok=True)
             made.add(folder)
-        with open(path, "wb") as fh:
-            fh.write(data)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)  # rewrites a file in place
+        try:
+            done = 0
+            while done < len(data):
+                done += os.write(fd, data[done:])
+        finally:
+            os.close(fd)
 
     for page in sliced:
-        stripped, prefix = _page_files(f"{out}/stripped", f"{out}/sections", page.page_path)
-        write(stripped, page.stripped_bytes)
+        file, prefix = _page_files(page.page_path)
+        write(f"{out}/stripped/{file}", page.stripped_bytes)
         for i, section in enumerate(page.sections_bytes):
-            write(f"{prefix}{i}.html", section)
+            write(f"{out}/sections/{prefix}{i}.html", section)
 
 
 def _report_slices(out: Path, sliced: list[SlicedPage], errors: list, rules: dict[str, Rule]) -> None:
@@ -272,6 +281,7 @@ def _cmd_slice_precise(args: argparse.Namespace, out: Path) -> int:
 
     _, rules, sliced, errors = _slice(args)
     _write_page_outputs(sliced, out)
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps would build one per call
     total = 0
     with open(out / "comments.jsonl", "w", encoding="utf-8") as fh:
         for page in sliced:
@@ -282,7 +292,7 @@ def _cmd_slice_precise(args: argparse.Namespace, out: Path) -> int:
             errors.extend(errs)
             for c in comments:
                 # vars() lists Comment's fields in order, without asdict's deep copy
-                fh.write(json.dumps(vars(c), ensure_ascii=False) + "\n")
+                fh.write(encode(vars(c)) + "\n")
             total += len(comments)
     _report_slices(out, sliced, errors, rules)
     print(f"extracted {total} comments")

@@ -31,7 +31,9 @@ _HOST_END_RE = re.compile(r"[/?\\]")
 # site ids and labels end up in graph.gexf, which must stay well-formed
 _NOT_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
-_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
+# O_NONBLOCK (POSIX) keeps the open of a FIFO from waiting for a writer, and
+# O_BINARY (Windows) keeps the bytes untranslated; a regular file reads as without them
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
 
 # host -> that host's (normalized prefix, site_id) pairs, longest prefix first
 SiteIndex = dict[str, tuple[tuple[str, str], ...]]
@@ -71,17 +73,17 @@ class _PageFile(Page):
     ManifestError, naming it.
     """
 
-    def __init__(self, site_id: str, page_path: str, root: Path) -> None:
+    def __init__(self, site_id: str, page_path: str, root: Path, file: str) -> None:
         object.__setattr__(self, "site_id", site_id)
         object.__setattr__(self, "page_path", page_path)
         object.__setattr__(self, "_root", root)
+        object.__setattr__(self, "_file", file)  # page_file(page_path), spelled once by load_corpus
 
     @functools.cached_property
     def raw_bytes(self) -> bytes:  # cached_property writes past the frozen __setattr__
-        path = page_file(self.page_path)
-        raw = _read_regular_file(f"{self._root}/{path}")
+        raw = _read_regular_file(f"{self._root}/{self._file}")
         if raw is None:
-            raise ManifestError(f"page file not readable: {Path(clip(self._root)) / clip(path)}")
+            raise ManifestError(f"page file not readable: {Path(clip(self._root)) / clip(self._file)}")
         return raw
 
 
@@ -224,7 +226,7 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
             regular = False
         if not regular:
             raise ManifestError(f"page file not found: {Path(clip(root)) / clip(path)}")
-        pages.append(_PageFile(site_id, page_path, root))
+        pages.append(_PageFile(site_id, page_path, root, path))
 
     return Corpus(registry=list(sites.values()), pages=pages)
 
@@ -234,24 +236,33 @@ def page_file(page_path: str) -> str:
 
     A page is read at this path under the corpus root and written at it under stripped/.
     """
-    return "/".join(part for part in page_path.split("/") if part not in ("", ".")) or "."
+    parts = page_path.split("/")
+    if "" in parts or "." in parts:
+        return "/".join(part for part in parts if part not in ("", ".")) or "."
+    return page_path
 
 
 def _read_regular_file(path: str) -> bytes | None:
     """The bytes of path if it is a regular file that opens, else None.
 
-    One open and one fstat, with no stat of the path first. O_NONBLOCK
-    (POSIX) keeps the open of a FIFO from waiting for a writer; a regular
-    file reads as without it.
+    One descriptor, no file object: one open and one fstat, with no stat of
+    the path first, then reads until one returns nothing (two for a file
+    that does not change meanwhile).
     """
     try:
-        fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | _NONBLOCK))
+        fd = os.open(path, _READ_FLAGS)
     except OSError:
         return None
-    with fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
             return None
-        return fh.read()
+        chunks = []
+        while chunk := os.read(fd, info.st_size + 1):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 def _bare_host(host: str) -> str:

@@ -1,9 +1,11 @@
 """Shared fixture builders: tiny corpora on disk, slicing rules in memory and on
-disk (write_encoding_file), and the partition oracle (assert_partition)."""
+disk (write_encoding_file), the partition oracle (assert_partition), and the
+descriptor-leak guard (no_fd_leak)."""
 
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 
 import pytest
@@ -225,3 +227,33 @@ def two_site_corpus(tmp_path):
     }
     root, manifest = write_corpus(tmp_path, sites, pages)
     return load_corpus(root, manifest)
+
+
+def _open_fds(fd_dir: str) -> dict[str, str]:
+    """Each descriptor listed in fd_dir that is still open, with what it points to."""
+    fds = {}
+    for fd in os.listdir(fd_dir):
+        try:
+            fds[fd] = os.readlink(f"{fd_dir}/{fd}")
+        except OSError:  # the descriptor listdir read fd_dir through, closed by now
+            pass
+    return fds
+
+
+@pytest.fixture
+def no_fd_leak():
+    """Fail the test if it ends with a file descriptor open that it did not start with.
+
+    A leaked file object fails the suite through its ResourceWarning (see
+    pyproject.toml), but a raw descriptor from os.open warns about nothing.
+    Checks only where /proc/self/fd lists the process's descriptors.
+    """
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        yield
+        return
+    before = _open_fds(fd_dir)
+    yield
+    after = _open_fds(fd_dir)
+    left = {fd: after[fd] for fd in after.keys() - before.keys()}
+    assert not left, f"file descriptors left open: {left}"

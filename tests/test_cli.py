@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import errno
 import json
 import os
 import re
@@ -37,6 +38,8 @@ from conftest import (
     write_corpus,
     write_encoding_file,
 )
+
+pytestmark = pytest.mark.usefixtures("no_fd_leak")  # every run here must close what it opens
 
 
 @pytest.fixture
@@ -743,6 +746,85 @@ def test_a_page_gone_after_loading_fails_before_any_page_is_written(twenty_pages
     assert run(base_args(twenty_pages, "slice-rough")) == 1
     assert capsys.readouterr().err == f"error: page file not readable: {gone}\n"
     assert not any((twenty_pages["out"] / tree).exists() for tree in ("stripped", "sections"))
+
+
+def _page_outputs(out: Path) -> dict[Path, bytes]:
+    """Every file under out's stripped/ and sections/, by its path below out."""
+    return {
+        p.relative_to(out): p.read_bytes() for tree in ("stripped", "sections") for p in (out / tree).rglob("*")
+        if p.is_file()
+    }
+
+
+@pytest.mark.parametrize("command", ["slice-rough", "slice-precise"])
+def test_a_rerun_over_longer_page_outputs_leaves_only_the_new_bytes(workspace, command):
+    assert run(base_args(workspace, command)) == 0
+    new = _page_outputs(workspace["out"])
+    assert Path("sections/alpha/a1.html.section-0.html") in new
+    for rel, data in new.items():  # as if an earlier run had sliced longer pages
+        (workspace["out"] / rel).write_bytes(data + b"<p>left from a longer page</p>" * 40)
+    assert run(base_args(workspace, command)) == 0
+    assert _page_outputs(workspace["out"]) == new
+
+
+def test_page_io_moves_every_byte_when_the_system_moves_three_at_a_time(twenty_pages, monkeypatch):
+    read, write = os.read, os.write
+    calls = []
+
+    def short_read(fd, n):
+        calls.append("read")
+        return read(fd, min(n, 3))
+
+    def short_write(fd, data):
+        calls.append("write")
+        return write(fd, data[:3])
+
+    monkeypatch.setattr(os, "read", short_read)
+    monkeypatch.setattr(os, "write", short_write)
+    for size in range(8):  # every length around the 3-byte step; write_bytes does not call os.write
+        (twenty_pages["root"] / "short").write_bytes(bytes(range(size)))
+        assert corpus_mod._read_regular_file(f"{twenty_pages['root']}/short") == bytes(range(size))
+    calls.clear()
+    assert run(base_args(twenty_pages, "slice-rough")) == 0
+    out = twenty_pages["out"]
+    for (_, path), raw in twenty_pages["pages"].items():
+        stripped = (out / "stripped" / path).read_bytes()
+        section = (out / "sections" / f"{path}.section-0.html").read_bytes()
+        start = raw.index(OPEN)
+        assert stripped[:start] + section + stripped[start:] == raw
+    floor = sum(len(raw) // 3 for raw in twenty_pages["pages"].values())
+    assert calls.count("read") > floor and calls.count("write") >= floor
+
+
+def test_a_full_disk_exits_1_with_one_error_line_and_no_descriptor_open(twenty_pages, monkeypatch, capsys, no_fd_leak):
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full)
+    assert run(base_args(twenty_pages, "slice-rough")) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    # after the test, no_fd_leak checks that the descriptor of the failed file was closed
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_a_page_no_longer_a_regular_file_when_read_exits_1_with_no_descriptor_open(
+    twenty_pages, monkeypatch, capsys, no_fd_leak, kind
+):
+    page = twenty_pages["root"] / "p7.html"
+    load = cli.load_corpus
+
+    def load_then_replace(root, manifest):
+        corpus = load(root, manifest)
+        page.unlink()
+        if kind == "directory":  # os.open opens both; fstat then refuses them
+            page.mkdir()
+        else:
+            os.mkfifo(page)
+        return corpus
+
+    monkeypatch.setattr(cli, "load_corpus", load_then_replace)
+    assert run(base_args(twenty_pages, "slice-rough")) == 1
+    assert capsys.readouterr().err == f"error: page file not readable: {page}\n"
 
 
 def test_importing_the_cli_loads_neither_json_nor_xml():
