@@ -21,7 +21,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from . import audit as audit_mod
 from .corpus import Corpus, load_corpus, page_file
 from .encoding import Rule, parse_encoding_file
 from .errors import ComsliceError, clip
@@ -65,6 +64,37 @@ def _bounded(kind: Callable[[str], float], low: float, high: float = math.inf):
 
 _positive_int = _bounded(int, 1)
 _fraction = _bounded(float, 0, 1)
+
+
+class _ThresholdOption(argparse.Action):
+    """Store one --threshold-* value.
+
+    Its default, and the help that shows it, are the audit.Thresholds field
+    named by dest, read only when audit parses or prints its help: building
+    the parser does not import comslice.audit. What argparse assigns to
+    either is dropped, so Thresholds stays their only source.
+    """
+
+    @property
+    def default(self) -> float:
+        from .audit import Thresholds
+
+        return getattr(Thresholds, self.dest)
+
+    @default.setter
+    def default(self, value) -> None:
+        pass
+
+    @property
+    def help(self) -> str:
+        return f"slice when {self.dest} exceeds this (default: {self.default})"
+
+    @help.setter
+    def help(self, value) -> None:
+        pass
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,13 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
     for option, metric in (("link", "link_noise"), ("token", "token_noise"), ("divergence", "text_divergence")):
-        p.add_argument(
-            f"--threshold-{option}",
-            dest=metric,
-            type=_fraction,
-            default=getattr(audit_mod.Thresholds, metric),
-            help=f"slice when {metric} exceeds this (default: %(default)s)",
-        )
+        p.add_argument(f"--threshold-{option}", dest=metric, type=_fraction, action=_ThresholdOption)
     p.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
 
     return parser
@@ -239,6 +263,9 @@ def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
             done = 0
             while done < len(data):
                 done += os.write(fd, data[done:])
+        except OSError as exc:  # an error on a descriptor names no file
+            exc.filename = path
+            raise
         finally:
             os.close(fd)
 
@@ -368,6 +395,10 @@ def _cmd_tokens(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
+    # imported here, so the other subcommands never load it; its names are read through
+    # the module, where perfbench's tracer patches them
+    from . import audit as audit_mod
+
     stopwords = load_stopwords(args.stopwords)
     corpus, rules = _load(args)
     metrics = [f.name for f in fields(audit_mod.Thresholds)]

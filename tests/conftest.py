@@ -1,11 +1,13 @@
 """Shared fixture builders: tiny corpora on disk, slicing rules in memory and on
-disk (write_encoding_file), the partition oracle (assert_partition), and the
-descriptor-leak guard (no_fd_leak)."""
+disk (write_encoding_file), the partition oracle (assert_partition), the
+descriptor-leak guard (no_fd_leak), and the import probe (modules_imported_by)."""
 
 from __future__ import annotations
 
 import csv
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,3 +259,15 @@ def no_fd_leak():
     after = _open_fds(fd_dir)
     left = {fd: after[fd] for fd in after.keys() - before.keys()}
     assert not left, f"file descriptors left open: {left}"
+
+
+def modules_imported_by(statement: str) -> set[str]:
+    """The modules that running statement in a fresh interpreter adds to sys.modules.
+
+    Compared with the modules loaded before it, so what site loads does not count.
+    """
+    code = f"import sys; before = set(sys.modules); {statement}; print(*sorted(set(sys.modules) - before))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())

@@ -5,12 +5,11 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import errno
 import json
 import os
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path, PurePosixPath
 
@@ -21,10 +20,10 @@ from hypothesis import strategies as st
 
 from comslice import cli
 from comslice import corpus as corpus_mod
-from comslice.audit import sample_corpus
+from comslice.audit import Thresholds, sample_corpus
 from comslice.cli import run
 from comslice.corpus import load_corpus, page_file
-from comslice.errors import ManifestError
+from comslice.errors import ManifestError, clip
 
 from conftest import (
     CLOSE,
@@ -34,6 +33,7 @@ from conftest import (
     fragment,
     make_precise_rule,
     make_rule,
+    modules_imported_by,
     page_bytes,
     write_corpus,
     write_encoding_file,
@@ -802,7 +802,9 @@ def test_a_full_disk_exits_1_with_one_error_line_and_no_descriptor_open(twenty_p
 
     monkeypatch.setattr(os, "write", full)
     assert run(base_args(twenty_pages, "slice-rough")) == 1
-    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    first = load_corpus(twenty_pages["root"], twenty_pages["manifest"]).pages[0].page_path
+    path = clip(f"{twenty_pages['out']}/stripped/{page_file(first)}")  # the first file written, as run echoes it
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {path!r}\n"
     # after the test, no_fd_leak checks that the descriptor of the failed file was closed
 
 
@@ -827,13 +829,16 @@ def test_a_page_no_longer_a_regular_file_when_read_exits_1_with_no_descriptor_op
     assert capsys.readouterr().err == f"error: page file not readable: {page}\n"
 
 
-def test_importing_the_cli_loads_neither_json_nor_xml():
-    # compared with the modules loaded before the import, so what site loads does not count
-    code = (
-        "import sys; before = set(sys.modules); import comslice.cli; "
-        "print(sorted({'json', 'xml.etree.ElementTree'} & (set(sys.modules) - before)))"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+def test_importing_the_cli_loads_no_module_that_only_some_subcommands_use():
+    # json: slice-precise; the XML writer: graph; comslice.audit: audit; concurrent.futures: --workers 2 and up
+    only_some = {"json", "xml.etree.ElementTree", "comslice.audit", "concurrent.futures"}
+    assert modules_imported_by("import comslice.cli") & only_some == set()
+
+
+def test_threshold_defaults_and_their_help_are_the_thresholds_fields(capsys):
+    metrics = {f.name: getattr(Thresholds(), f.name) for f in dataclasses.fields(Thresholds)}
+    args = cli.build_parser().parse_args(["audit", "--corpus", "C", "--manifest", "M", "--encoding", "E"])
+    assert {name: getattr(args, name) for name in metrics} == metrics
+    assert run(["audit", "--help"]) == 0
+    shown = dict(re.findall(r"slice when (\w+) exceeds this \(default:\s+([^)]*)\)", capsys.readouterr().out))
+    assert {name: float(value) for name, value in shown.items()} == metrics
