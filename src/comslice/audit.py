@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .corpus import Corpus, Page, SiteIndex
 from .encoding import Rule
@@ -23,8 +23,7 @@ from .slicer import SlicedPage, SliceError, precise_slice, rules_for, slice_corp
 from .textstats import corpus_token_counts, jsd, tokenize
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Per-metric cutoffs, each named after the NoiseMeasurement field it bounds.
 
     A metric must strictly exceed its cutoff to matter.
@@ -35,8 +34,7 @@ class Thresholds:
     text_divergence: float = 0.05
 
 
-@dataclass(frozen=True)
-class NoiseMeasurement:
+class NoiseMeasurement(NamedTuple):
     """How much of the corpus signal lives inside comment sections."""
 
     link_noise: float
@@ -48,8 +46,7 @@ class NoiseMeasurement:
     main_tokens: int
 
 
-@dataclass(frozen=True)
-class SiteDiagnostics:
+class SiteDiagnostics(NamedTuple):
     """Per-site slicing footprint; comment counts only when the rule is precise."""
 
     site_id: str
@@ -62,8 +59,7 @@ class SiteDiagnostics:
     commenter_urls: int | None
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     sample_size: int
     measurement: NoiseMeasurement
     thresholds: Thresholds
@@ -74,9 +70,9 @@ class AuditResult:
     def exceeded(self) -> tuple[str, ...]:
         """The metrics strictly above their thresholds, in field order; any one means slice."""
         return tuple(
-            f.name
-            for f in fields(Thresholds)
-            if getattr(self.measurement, f.name) > getattr(self.thresholds, f.name)
+            name
+            for name in Thresholds._fields
+            if getattr(self.measurement, name) > getattr(self.thresholds, name)
         )
 
 

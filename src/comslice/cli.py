@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import astuple, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -69,17 +68,18 @@ _fraction = _bounded(float, 0, 1)
 class _ThresholdOption(argparse.Action):
     """Store one --threshold-* value.
 
-    Its default, and the help that shows it, are the audit.Thresholds field
-    named by dest, read only when audit parses or prints its help: building
-    the parser does not import comslice.audit. What argparse assigns to
-    either is dropped, so Thresholds stays their only source.
+    Its default, and the help that shows it, are the default of the
+    audit.Thresholds field named by dest, read only when audit parses or
+    prints its help: building the parser does not import comslice.audit.
+    What argparse assigns to either is dropped, so Thresholds stays their
+    only source.
     """
 
     @property
     def default(self) -> float:
         from .audit import Thresholds
 
-        return getattr(Thresholds, self.dest)
+        return Thresholds._field_defaults[self.dest]  # getattr(Thresholds, dest) is the field's accessor
 
     @default.setter
     def default(self, value) -> None:
@@ -318,8 +318,7 @@ def _cmd_slice_precise(args: argparse.Namespace, out: Path) -> int:
             comments, errs = precise_slice(page, rule)
             errors.extend(errs)
             for c in comments:
-                # vars() lists Comment's fields in order, without asdict's deep copy
-                fh.write(encode(vars(c)) + "\n")
+                fh.write(encode(c._asdict()) + "\n")  # Comment's fields, in order
             total += len(comments)
     _report_slices(out, sliced, errors, rules)
     print(f"extracted {total} comments")
@@ -401,7 +400,7 @@ def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
 
     stopwords = load_stopwords(args.stopwords)
     corpus, rules = _load(args)
-    metrics = [f.name for f in fields(audit_mod.Thresholds)]
+    metrics = audit_mod.Thresholds._fields
     result = audit_mod.run_audit(
         corpus,
         rules,
@@ -422,11 +421,7 @@ def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
             for name in metrics
         ),
     )
-    _write_csv(
-        out / "audit_sites.csv",
-        [f.name for f in fields(audit_mod.SiteDiagnostics)],
-        map(astuple, result.sites),
-    )
+    _write_csv(out / "audit_sites.csv", audit_mod.SiteDiagnostics._fields, result.sites)
     print(report, end="")
     return 0
 

@@ -17,8 +17,8 @@ import functools
 import os
 import re
 import stat
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ManifestError, clip, read_rows
 
@@ -39,22 +39,21 @@ _READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY
 SiteIndex = dict[str, tuple[tuple[str, str], ...]]
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(NamedTuple):
     """One registered website: an id, a free-form label, and the URL prefixes it owns."""
 
     site_id: str
     label: str
     url_prefixes: tuple[str, ...]
 
-    @functools.cached_property
+    @property
+    @functools.cache  # load_corpus reads it to check the prefixes, then Corpus.site_index to index them
     def normalized(self) -> tuple[str, ...]:
         """url_prefixes passed through normalize_url, in the same order."""
         return tuple(normalize_url(prefix) for prefix in self.url_prefixes)
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(NamedTuple):
     """One crawled HTML file, identified by (site_id, page_path), bytes kept verbatim.
 
     A Page built in memory holds its bytes from the start; one that
@@ -63,31 +62,51 @@ class Page:
 
     site_id: str
     page_path: str
-    raw_bytes: bytes = field(repr=False, hash=False)  # so neither reads a _PageFile
+    raw_bytes: bytes
+
+    def __repr__(self) -> str:  # neither it nor __hash__ reads raw_bytes, so neither reads a _PageFile
+        return f"{type(self).__name__}(site_id={self.site_id!r}, page_path={self.page_path!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.site_id, self.page_path))
 
 
 class _PageFile(Page):
     """A Page whose bytes are read from page_file(page_path) under root the first time raw_bytes is used.
 
-    A file that is no longer a readable regular file by then raises
-    ManifestError, naming it.
+    Its tuple holds None where raw_bytes would be. A file that is no longer
+    a readable regular file by then raises ManifestError, naming it.
     """
 
-    def __init__(self, site_id: str, page_path: str, root: Path, file: str) -> None:
-        object.__setattr__(self, "site_id", site_id)
-        object.__setattr__(self, "page_path", page_path)
-        object.__setattr__(self, "_root", root)
-        object.__setattr__(self, "_file", file)  # page_file(page_path), spelled once by load_corpus
+    def __new__(cls, site_id: str, page_path: str, root: Path, file: str) -> _PageFile:
+        self = super().__new__(cls, site_id, page_path, None)
+        vars(self).update(_root=root, _file=file)  # file: page_file(page_path), spelled once by load_corpus
+        return self
+
+    def __getnewargs__(self) -> tuple[str, str, Path, str]:  # what pickle rebuilds it from
+        return self.site_id, self.page_path, self._root, self._file
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Page is immutable")
+
+    def __eq__(self, other: object) -> bool:  # same class and same fields, bytes included
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2] and self.raw_bytes == other.raw_bytes
+
+    def __ne__(self, other: object) -> bool:  # not tuple's, which would compare the placeholders
+        return NotImplemented if (eq := self.__eq__(other)) is NotImplemented else not eq
+
+    __hash__ = Page.__hash__
 
     @functools.cached_property
-    def raw_bytes(self) -> bytes:  # cached_property writes past the frozen __setattr__
+    def raw_bytes(self) -> bytes:  # cached_property writes to __dict__, past __setattr__
         raw = _read_regular_file(f"{self._root}/{self._file}")
         if raw is None:
             raise ManifestError(f"page file not readable: {Path(clip(self._root)) / clip(self._file)}")
         return raw
 
 
-@dataclass
 class Corpus:
     """The site registry plus every declared page, never changed once built.
 
@@ -96,27 +115,21 @@ class Corpus:
     is what ``resolve_url`` looks URLs up in.
     """
 
-    registry: list[Site]
-    pages: list[Page]
-    labels: dict[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, registry: list[Site], pages: list[Page]) -> None:
         labels: dict[str, str] = {}
-        for site in self.registry:
+        for site in registry:
             if site.site_id in labels:
                 raise ValueError(f"duplicate site_id in registry: {site.site_id}")
             labels[site.site_id] = site.label
         seen: set[tuple[str, str]] = set()
-        for page in self.pages:
+        for page in pages:
             if page.site_id not in labels:
-                raise ValueError(
-                    f"page {page.page_path} references unknown site_id {page.site_id}"
-                )
+                raise ValueError(f"page {page.page_path} references unknown site_id {page.site_id}")
             key = (page.site_id, page.page_path)
             if key in seen:
                 raise ValueError(f"duplicate page {key}")
             seen.add(key)
-        self.labels = labels
+        self.registry, self.pages, self.labels = registry, pages, labels
 
     @functools.cached_property
     def site_index(self) -> SiteIndex:

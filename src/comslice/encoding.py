@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import EncodingFileError, clip, read_rows
 
@@ -21,18 +20,22 @@ ABSENT = "False"
 REGEX_PREFIX = "re:"
 
 
-@dataclass(frozen=True)
-class Pattern:
+@functools.cache  # each distinct pattern compiles once, in each process, whichever Pattern asks
+def _compile(kind: str, source: str) -> re.Pattern[bytes]:
+    data = source.encode("utf-8")
+    return re.compile(re.escape(data) if kind == "literal" else data)
+
+
+class Pattern(NamedTuple):
     """A literal byte substring or a byte-level regex, matched case-sensitively."""
 
     kind: Literal["literal", "regex"]
     source: str
 
-    @functools.cached_property
+    @property
     def regex(self) -> re.Pattern[bytes]:
         """The compiled matcher; a literal compiles to its escaped bytes."""
-        source = self.source.encode("utf-8")
-        return re.compile(re.escape(source) if self.kind == "literal" else source)
+        return _compile(self.kind, self.source)
 
     def extract(self, data: bytes) -> str | None:
         """Pull one field value out of a comment fragment, as text.
@@ -57,8 +60,7 @@ class Pattern:
         return value.decode("utf-8", errors="replace") if value else None
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """Slicing rule for one site.
 
     ``has_comments`` False means the site never shows comments and every
@@ -88,7 +90,7 @@ class Rule:
 
 
 # The file's columns are Rule's fields, in order.
-ENCODING_COLUMNS = tuple(f.name for f in fields(Rule))
+ENCODING_COLUMNS = Rule._fields
 PATTERN_COLUMNS = ENCODING_COLUMNS[3:5] + ENCODING_COLUMNS[6:]
 EXTRACTOR_COLUMNS = ENCODING_COLUMNS[7:]  # per-comment fields, need comment_pattern
 

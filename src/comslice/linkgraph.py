@@ -10,9 +10,8 @@ self-links removed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import SiteIndex, resolve_url
 from .slicer import SlicedPage
@@ -28,8 +27,7 @@ _HREF_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """One site-to-site link occurrence: where it sits, what it points to.
 
     Only hrefs resolving to a registered site become links; external URLs
@@ -86,8 +84,7 @@ def countable(links: Iterable[Link]) -> list[Link]:
     return [l for l in links if not l.is_self]
 
 
-@dataclass(frozen=True)
-class CrosstabRow:
+class CrosstabRow(NamedTuple):
     """Link counts between one source label and one destination label."""
 
     src_label: str
@@ -120,8 +117,7 @@ def crosstab(links: Iterable[Link], labels: dict[str, str]) -> list[CrosstabRow]
     return rows
 
 
-@dataclass(frozen=True)
-class MutualGraph:
+class MutualGraph(NamedTuple):
     """Undirected site graph keeping only reciprocated links.
 
     Nodes are every registered site (isolated ones included); an edge

@@ -14,9 +14,9 @@ import os
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import pairwise
 from operator import itemgetter
+from typing import NamedTuple
 
 from .corpus import Page
 from .encoding import EXTRACTOR_COLUMNS, Rule
@@ -32,8 +32,7 @@ EXTRACTION_FAILURE = "extraction_failure"
 _DIGITS_RE = re.compile(r"[0-9]+")  # not \d, which in a str pattern matches any decimal digit
 
 
-@dataclass(frozen=True)
-class SliceError:
+class SliceError(NamedTuple):
     """One page-level slicing problem, kept for the error report."""
 
     site_id: str
@@ -42,8 +41,7 @@ class SliceError:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class UniformSizeWarning:
+class UniformSizeWarning(NamedTuple):
     """All of a site's extracted sections share one byte length.
 
     Two or more identical sizes usually mean the delimiters matched some
@@ -55,8 +53,7 @@ class UniformSizeWarning:
     sections: int
 
 
-@dataclass(frozen=True)
-class SlicedPage:
+class SlicedPage(NamedTuple):
     """A page partitioned into main spans and comment-section spans.
 
     Spans are half-open (start, end) byte offsets into raw_bytes, sorted,
@@ -91,8 +88,7 @@ class SlicedPage:
         return i > 0 and offset < self.section_spans[i - 1][1]
 
 
-@dataclass(frozen=True)
-class Comment:
+class Comment(NamedTuple):
     """One extracted comment: absolute span in the page plus parsed fields.
 
     Every field a rule cannot locate in the fragment stays None; depth is

@@ -264,9 +264,13 @@ def no_fd_leak():
 def modules_imported_by(statement: str) -> set[str]:
     """The modules that running statement in a fresh interpreter adds to sys.modules.
 
-    Compared with the modules loaded before it, so what site loads does not count.
+    Compared with the modules loaded before it, so what site loads does not count. The
+    list goes to the process's own stdout, so statement may redirect sys.stdout.
     """
-    code = f"import sys; before = set(sys.modules); {statement}; print(*sorted(set(sys.modules) - before))"
+    code = (
+        f"import sys; before = set(sys.modules); {statement}; "
+        "print(*sorted(set(sys.modules) - before), file=sys.__stdout__)"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

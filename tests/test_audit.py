@@ -246,8 +246,8 @@ def test_run_audit_rejects_a_sample_of_no_pages(two_site_corpus, sample_n):
 
 def test_run_audit_builds_no_second_corpus(two_site_corpus, monkeypatch):
     built = []
-    post_init = Corpus.__post_init__
-    monkeypatch.setattr(Corpus, "__post_init__", lambda self: built.append(post_init(self)))
+    init = Corpus.__init__
+    monkeypatch.setattr(Corpus, "__init__", lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
     rules = {"alpha": make_rule(site_id="alpha"), "beta": make_rule(site_id="beta")}
     run_audit(two_site_corpus, rules, sample_n=100, seed=0)
     assert built == []

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
 import errno
 import json
 import os
@@ -835,8 +834,20 @@ def test_importing_the_cli_loads_no_module_that_only_some_subcommands_use():
     assert modules_imported_by("import comslice.cli") & only_some == set()
 
 
+def test_no_subcommand_loads_dataclasses_or_inspect(workspace):
+    # every record is a NamedTuple: importing dataclasses, which imports inspect, cost each run about 6 ms
+    commands = ["slice-rough", "slice-precise", "links", "crosstab", "graph", "tokens", "audit"]
+    runs = [base_args(workspace, command) for command in commands]
+    loaded = modules_imported_by(
+        f"import io; sys.stdout = io.StringIO(); from comslice.cli import run; "
+        f"assert [run(argv) for argv in {runs!r}] == [0] * {len(runs)}"
+    )
+    assert {"comslice.audit", "json", "xml.etree.ElementTree"} <= loaded  # all seven ran
+    assert loaded & {"dataclasses", "inspect"} == set()
+
+
 def test_threshold_defaults_and_their_help_are_the_thresholds_fields(capsys):
-    metrics = {f.name: getattr(Thresholds(), f.name) for f in dataclasses.fields(Thresholds)}
+    metrics = Thresholds()._asdict()
     args = cli.build_parser().parse_args(["audit", "--corpus", "C", "--manifest", "M", "--encoding", "E"])
     assert {name: getattr(args, name) for name in metrics} == metrics
     assert run(["audit", "--help"]) == 0

@@ -114,6 +114,19 @@ def test_repr_and_hash_of_a_loaded_page_do_not_read_its_file(tmp_path):
         page.raw_bytes
 
 
+def test_loaded_pages_compare_by_their_bytes_and_never_equal_an_in_memory_page(tmp_path):
+    loaded = []
+    for i, body in enumerate((b"x", b"y", b"x")):
+        root, manifest = write_corpus(
+            tmp_path / str(i), sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): body}
+        )
+        loaded.extend(load_corpus(root, manifest).pages)
+    x, y, x_again = loaded
+    assert (x == y, x != y, x == x_again, x != x_again) == (False, True, True, False)
+    in_memory = Page("s1", "s1/p.html", b"x")
+    assert (x == in_memory, in_memory == x, x != in_memory, in_memory != x) == (False, False, True, True)
+
+
 def test_page_path_is_read_where_pathlib_finds_it(tmp_path):
     root, manifest = write_corpus(
         tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): b"x"}
