@@ -27,9 +27,9 @@ from comslice.textstats import (
 NO_STOPWORDS: frozenset[str] = frozenset()
 
 
-def words(pieces: list[str]) -> list[str]:
+def words(pieces: list[bytes]) -> list[str]:
     """The tokens of tokenize's whitespace pieces, in order."""
-    return [w for p in pieces for w in textstats._WORD_RE.findall(p)]
+    return [w for p in pieces for w in textstats._WORD_RE.findall(p.decode("utf-8", "replace").lower())]
 
 
 def token_parts(data: bytes, sections=()) -> tuple[list[str], list[str]]:
@@ -105,7 +105,7 @@ def test_pure_numbers_tokenize_to_nothing():
 
 # the tokenizer's regexes before they were made linear: the references for its output
 _REF_SCRIPT_STYLE_RE = re.compile(
-    r"<(script|style)\b[^>]*(?:>.*?(?:</\1[^>]*>|\Z)|\Z)", re.IGNORECASE | re.DOTALL
+    r"<(script|style)\b[^>]*(?:>.*?(?:</\1[^>]*>|\Z)|\Z)", re.IGNORECASE | re.DOTALL | re.ASCII
 )
 _REF_TAG_RE = re.compile(r"<[^>]*>?")
 _REF_WORD_RE = re.compile(r"[^\W\d_]+")
@@ -162,13 +162,59 @@ def test_split_tokens_add_up_to_whole_page_tokens(page):
 
 
 def test_no_whitespace_is_a_letter():
-    # tokenize cuts on str.split()'s whitespace; a token never crosses a cut only
-    # because no such character is in the token class (the Unicode data varies
-    # with the interpreter)
+    # tokenize cuts on whitespace, and a piece may hold more of it than the ASCII
+    # bytes it cuts on; a token never crosses any of it only because no such
+    # character is in the token class (the Unicode data varies with the interpreter)
     spaces = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
     assert {"\t", "\x1c", "\x85", "\xa0", "\u1680", "\u2028", "\u3000"} <= set(spaces)
     assert spaces.split() == []
     assert re.findall(r"[^\W\d_]", spaces) == []
+
+
+def test_lowercasing_is_idempotent():
+    # a part of a piece that _add_piece lowercased is lowercased again, as a piece
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    lowered = "".join(map(str.lower, chars))
+    assert lowered.lower() == lowered
+
+
+def test_only_sigma_lowercases_by_its_neighbours():
+    # tokenize lowercases each whitespace piece alone; that equals lowercasing the
+    # page only because no other code point's lowercase depends on what surrounds it
+    others = "".join(map(chr, range(sys.maxunicode + 1))).replace("\u03a3", "")
+    alone = list(map(str.lower, others))
+    assert "A".join(others).lower() == "a".join(alone)  # a cased letter on each side
+    assert ("A" + " A".join(others)).lower() == "a" + " a".join(alone)  # before it only
+    assert ("A ".join(others) + " A").lower() == "a ".join(alone) + " a"  # after it only
+    # Σ is final after a cased letter unless one follows; its context stops at
+    # whitespace, '<' and '>', which end a piece
+    assert ("ΑΣ".lower(), "ΑΣ.α".lower(), "ΑΣ α".lower(), "ΑΣ<α".lower()) == ("ας", "ασ.α", "ας α", "ας<α")
+
+
+def test_bytes_split_cuts_on_ascii_whitespace_only():
+    # tokenize splits bytes on these; each is whitespace to str.split() too, and no
+    # byte of a multi-byte UTF-8 character is ASCII, so a cut never splits one
+    spaces = {b for b in range(256) if bytes([b]).split() == []}
+    assert spaces == set(b" \t\n\r\x0b\x0c")
+    assert all(chr(b).isspace() for b in spaces)
+    non_ascii = "".join(chr(c) for c in range(0x80, sys.maxunicode + 1) if not 0xD800 <= c < 0xE000)
+    encoded = non_ascii.encode()
+    assert re.search(rb"[\x00-\x7f]", encoded) is None
+    # _MULTIBYTE matches every one of those characters, one match each
+    assert re.subn(textstats._MULTIBYTE, b"", encoded) == (b"", len(non_ascii))
+
+
+@pytest.mark.parametrize("name", ["scrıpt", "ſtyle", "scrİpt"])
+def test_a_misspelled_script_or_style_name_is_an_ordinary_tag(name):
+    # names match ASCII case-insensitively, as in the HTML standard: ı, ſ and İ
+    # are not i or s, so no block opens to run to the end of the page
+    assert token_parts(f"<{name}>x</SCRIPT><p>mot juste</p>".encode()) == (["mot", "juste"], [])
+
+
+def test_a_script_name_ends_at_an_ascii_word_boundary():
+    # Ā is no ASCII word character, so <scriptĀ> opens a block that </script> closes
+    raw = "<scriptĀ>var secret</script><p>mot juste</p>".encode()
+    assert token_parts(raw) == (["mot", "juste"], [])
 
 
 def _spaces(match: re.Match[str]) -> str:
@@ -189,8 +235,8 @@ markup_soup = st.lists(
 def test_markup_blanking_matches_the_reference_regexes(text):
     # script and style blocks turn into spaces of their length, every tag into one space
     expected = _REF_TAG_RE.sub(" ", _REF_SCRIPT_STYLE_RE.sub(_spaces, text))
-    blanked = textstats._SCRIPT_STYLE_RE.sub(textstats._blank, text)
-    assert textstats._TAG_RE.sub(" ", blanked) == expected
+    blanked = textstats._SCRIPT_STYLE_RE.sub(textstats._blank, text.encode())
+    assert textstats._TAG_RE.sub(b" ", blanked) == expected.encode()
 
 
 @pytest.mark.parametrize(
@@ -213,7 +259,7 @@ def test_tokenize_is_linear_on_markup_that_never_closes(raw, tokens):
 # tokenize's (main, comment) lists.
 _OLD_SCRIPT_STYLE_RE = re.compile(
     r"<(script|style)\b[^>]*(>.*?(?:</\1[^>]*>?|\Z))?",
-    re.IGNORECASE | re.DOTALL,
+    re.IGNORECASE | re.DOTALL | re.ASCII,
 )
 _OLD_TAG_RE = re.compile(r"<[^>]*>?")
 _OLD_WORD_RE = re.compile(r"[^\W\d_]{2,}")
@@ -300,14 +346,29 @@ def test_corpus_counts_sum_each_pages_tokens(pages, stopwords, max_pieces):
         assert corpus_token_counts([_page(*page) for page in pages], stopwords) == expected
 
 
+def test_corpus_counts_read_more_pieces_of_one_count_than_a_batch():
+    # _add_tokens reads the pieces of one count 1,024 at a time
+    words = ["".join(chr(0x61 + n // 26**k % 26) for k in range(3)) for n in range(3000)]
+    raw = " ".join(words + words[:1500]).encode()
+    expected = Counter(words) + Counter(words[:1500])
+    assert corpus_token_counts([_page(raw)], NO_STOPWORDS) == (expected, Counter())
+
+
 @settings(max_examples=500)
 @given(tricky_html, st.lists(st.integers(0, 200), max_size=8))
 @example(b"\x80\xed\xa9\x9f\xc0\xed", [3])  # the held-back pair decodes as two characters
 @example(b"caf\xc3", [4])  # a held-back valid lead byte decodes as one
-def test_char_offsets_match_the_prefix_decode(data, offsets):
-    offsets = sorted(o % (len(data) + 1) for o in offsets)
-    expected = [len(data[:o].decode("utf-8", errors="replace")) for o in offsets]
-    assert list(textstats._char_offsets(data, offsets)) == expected
+def test_char_end_cuts_where_the_prefix_decode_ends(data, offsets):
+    # a cut at _char_end(bound) ends the text where decoding data[:bound] does, and
+    # changes no character after it but to add U+FFFDs for a cut invalid sequence
+    text = data.decode("utf-8", errors="replace")
+    for bound in (o % (len(data) + 1) for o in offsets):
+        cut = textstats._char_end(data, bound)
+        chars = len(data[:bound].decode("utf-8", errors="replace"))
+        assert data[:cut].decode("utf-8", errors="replace") == text[:chars]
+        rest = data[cut:].decode("utf-8", errors="replace")
+        assert rest.endswith(text[chars:])
+        assert set(rest[: len(rest) - len(text) + chars]) <= {"\ufffd"}
 
 
 def test_tokenize_is_linear_in_the_number_of_sections():
@@ -428,6 +489,11 @@ def test_top_k_breaks_ties_alphabetically():
 
 def test_top_k_tied_pair_keeps_alphabetical_winner():
     assert top_k({"b": 1, "a": 1}, 1) == [("a", 1)]
+
+
+@given(st.dictionaries(st.text(max_size=3), st.integers(0, 5)), st.integers(0, 30))
+def test_top_k_is_the_head_of_the_sorted_table(counts, k):
+    assert top_k(Counter(counts), k) == sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
 def test_jsd_identical_is_exactly_zero():
