@@ -23,6 +23,7 @@ __all__ = [
     "run_audit",
     "Corpus",
     "Page",
+    "PageFile",
     "Site",
     "Rule",
     "Pattern",
@@ -45,7 +46,7 @@ __all__ = [
 _HOMES = {
     name: module
     for module, names in {
-        "corpus": ("Corpus", "Page", "Site", "load_corpus"),
+        "corpus": ("Corpus", "Page", "PageFile", "Site", "load_corpus"),
         "encoding": ("Pattern", "Rule", "parse_encoding_file"),
         "errors": ("ComsliceError", "EncodingFileError", "ManifestError"),
         "linkgraph": ("CrosstabRow", "Link", "MutualGraph", "crosstab", "extract_all_links", "mutual_link_graph"),

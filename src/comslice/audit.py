@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .corpus import Corpus, Page, SiteIndex
+from .corpus import Corpus, Page, PageFile, SiteIndex
 from .encoding import Rule
 from .errors import ComsliceError
 from .linkgraph import countable, extract_all_links
@@ -76,7 +76,7 @@ class AuditResult(NamedTuple):
         )
 
 
-def sample_corpus(pages: list[Page], n: int, seed: int) -> list[Page]:
+def sample_corpus(pages: list[Page | PageFile], n: int, seed: int) -> list[Page | PageFile]:
     """Draw a reproducible sample of up to n pages, spread across sites.
 
     Each site's pages are shuffled with the seeded generator, then sites
@@ -85,7 +85,7 @@ def sample_corpus(pages: list[Page], n: int, seed: int) -> list[Page]:
     the same order.
     """
     rng = random.Random(seed)
-    per_site: dict[str, list[Page]] = {}
+    per_site: dict[str, list[Page | PageFile]] = {}
     for page in pages:
         per_site.setdefault(page.site_id, []).append(page)
     queues = []

@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from functools import partial
+from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -274,6 +275,11 @@ def _write_page_outputs(sliced: list[SlicedPage], out: Path) -> None:
         write(f"{out}/stripped/{file}", page.stripped_bytes)
         for i, section in enumerate(page.sections_bytes):
             write(f"{out}/sections/{prefix}{i}.html", section)
+        for n in count(len(page.section_spans)):  # sections an earlier run wrote past this run's last
+            try:
+                os.unlink(f"{out}/sections/{prefix}{n}.html")  # any other OSError names the file
+            except FileNotFoundError:
+                break
 
 
 def _report_slices(out: Path, sliced: list[SlicedPage], errors: list, rules: dict[str, Rule]) -> None:

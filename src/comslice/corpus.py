@@ -6,8 +6,8 @@ site (when ``url_prefixes`` is non-empty, ``|``-separated), declare a page
 (when ``page_path`` is non-empty, relative to the corpus root), or both.
 A row with a page_path whose site_id is never defined anywhere in the
 manifest is a fatal error. load_corpus only checks that each page file is
-a regular file; a page reads its bytes the first time ``raw_bytes`` is
-used, verbatim and never normalized, and keeps them. All downstream
+a regular file; each page it returns, a PageFile, reads its bytes each
+time ``raw_bytes`` is used, verbatim and never normalized. All downstream
 slicing is byte-exact against them.
 """
 
@@ -54,68 +54,43 @@ class Site(NamedTuple):
 
 
 class Page(NamedTuple):
-    """One crawled HTML file, identified by (site_id, page_path), bytes kept verbatim.
-
-    A Page built in memory holds its bytes from the start; one that
-    load_corpus built reads them on first use (see _PageFile).
-    """
+    """One crawled HTML file held in memory, identified by (site_id, page_path), bytes kept verbatim."""
 
     site_id: str
     page_path: str
     raw_bytes: bytes
 
-    def __repr__(self) -> str:  # neither it nor __hash__ reads raw_bytes, so neither reads a _PageFile
-        return f"{type(self).__name__}(site_id={self.site_id!r}, page_path={self.page_path!r})"
 
-    def __hash__(self) -> int:
-        return hash((self.site_id, self.page_path))
+class PageFile(NamedTuple):
+    """A page that load_corpus found at file (page_file(page_path)) under root.
 
-
-class _PageFile(Page):
-    """A Page whose bytes are read from page_file(page_path) under root the first time raw_bytes is used.
-
-    Its tuple holds None where raw_bytes would be. A file that is no longer
-    a readable regular file by then raises ManifestError, naming it.
+    Each use of raw_bytes reads the file; one that is no longer a readable
+    regular file by then raises ManifestError, naming it.
     """
 
-    def __new__(cls, site_id: str, page_path: str, root: Path, file: str) -> _PageFile:
-        self = super().__new__(cls, site_id, page_path, None)
-        vars(self).update(_root=root, _file=file)  # file: page_file(page_path), spelled once by load_corpus
-        return self
+    site_id: str
+    page_path: str
+    root: Path
+    file: str
 
-    def __getnewargs__(self) -> tuple[str, str, Path, str]:  # what pickle rebuilds it from
-        return self.site_id, self.page_path, self._root, self._file
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: a Page is immutable")
-
-    def __eq__(self, other: object) -> bool:  # same class and same fields, bytes included
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:2] == other[:2] and self.raw_bytes == other.raw_bytes
-
-    def __ne__(self, other: object) -> bool:  # not tuple's, which would compare the placeholders
-        return NotImplemented if (eq := self.__eq__(other)) is NotImplemented else not eq
-
-    __hash__ = Page.__hash__
-
-    @functools.cached_property
-    def raw_bytes(self) -> bytes:  # cached_property writes to __dict__, past __setattr__
-        raw = _read_regular_file(f"{self._root}/{self._file}")
+    @property
+    def raw_bytes(self) -> bytes:
+        raw = _read_regular_file(f"{self.root}/{self.file}")
         if raw is None:
-            raise ManifestError(f"page file not readable: {Path(clip(self._root)) / clip(self._file)}")
+            raise ManifestError(f"page file not readable: {Path(clip(self.root)) / clip(self.file)}")
         return raw
 
 
 class Corpus:
     """The site registry plus every declared page, never changed once built.
 
-    A page that load_corpus built reads its file on first use and keeps the
-    bytes. ``labels`` maps each registered site_id to its label; ``site_index``
-    is what ``resolve_url`` looks URLs up in.
+    A Page holds its bytes; a PageFile, which load_corpus builds, reads its
+    file each time its raw_bytes is used. ``labels`` maps each registered
+    site_id to its label; ``site_index`` is what ``resolve_url`` looks URLs
+    up in.
     """
 
-    def __init__(self, registry: list[Site], pages: list[Page]) -> None:
+    def __init__(self, registry: list[Site], pages: list[Page | PageFile]) -> None:
         labels: dict[str, str] = {}
         for site in registry:
             if site.site_id in labels:
@@ -153,7 +128,7 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
     """Load a corpus from disk, its pages at page_file(page_path) under root.
 
     Each page file is checked with one stat to be a regular file; its bytes
-    are read the first time its raw_bytes is used. Fatal conditions (raised
+    are read each time its raw_bytes is used. Fatal conditions (raised
     as ManifestError, always naming the offending path or row): any fault
     read_rows refuses, a page file that is missing or not a regular file, two
     page_paths with one page_file under one site_id (duplicate pages) or two
@@ -207,8 +182,8 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
                 f"for site {clip(site_id)}"
             )
 
-    # Second pass: check each page file; its bytes are read on first use.
-    pages: list[Page] = []
+    # Second pass: check each page file; its bytes are read on use.
+    pages: list[PageFile] = []
     seen: dict[str, tuple[int, str]] = {}  # page_file -> (row, site_id)
     for lineno, site_id, page_path in page_rows:
         path = page_file(page_path)
@@ -239,7 +214,7 @@ def load_corpus(root: str | Path, manifest: str | Path) -> Corpus:
             regular = False
         if not regular:
             raise ManifestError(f"page file not found: {Path(clip(root)) / clip(path)}")
-        pages.append(_PageFile(site_id, page_path, root, path))
+        pages.append(PageFile(site_id, page_path, root, path))
 
     return Corpus(registry=list(sites.values()), pages=pages)
 

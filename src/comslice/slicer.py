@@ -18,7 +18,7 @@ from itertools import pairwise
 from operator import itemgetter
 from typing import NamedTuple
 
-from .corpus import Page
+from .corpus import Page, PageFile
 from .encoding import EXTRACTOR_COLUMNS, Rule
 from .errors import EncodingFileError, clip
 
@@ -215,7 +215,7 @@ def precise_slice(sliced: SlicedPage, rule: Rule) -> tuple[list[Comment], list[S
     return comments, errors
 
 
-def rules_for(pages: list[Page], rules: dict[str, Rule]) -> list[Rule]:
+def rules_for(pages: list[Page | PageFile], rules: dict[str, Rule]) -> list[Rule]:
     """Each page's rule, in page order; the first site without one raises EncodingFileError."""
     try:
         return [rules[page.site_id] for page in pages]
@@ -224,15 +224,16 @@ def rules_for(pages: list[Page], rules: dict[str, Rule]) -> list[Rule]:
 
 
 def slice_corpus(
-    pages: list[Page], rules: dict[str, Rule], workers: int = 1
+    pages: list[Page | PageFile], rules: dict[str, Rule], workers: int = 1
 ) -> tuple[list[SlicedPage], list[SliceError]]:
     """Rough-slice every page, in the given order (a Corpus's is manifest order).
 
-    With workers > 1 the pages are fanned out over worker processes that
-    send back only each page's section spans and error kind; every SlicedPage
-    is built here around its own Page's bytes, so the result is identical
-    to a serial run. The pool never holds more processes than there are
-    CPUs or pages, and with one process left the pages are sliced here.
+    Each page's bytes are read once, and its SlicedPage is built around
+    them. With workers > 1 the pages are fanned out over worker processes
+    that send back only each page's section spans and error kind, so the
+    result is identical to a serial run. The pool never holds more
+    processes than there are CPUs or pages, and with one process left the
+    pages are sliced here.
     """
     page_rules = rules_for(pages, rules)
     data = [page.raw_bytes for page in pages]
@@ -247,8 +248,8 @@ def slice_corpus(
             results = list(pool.map(rough_slice, data, page_rules, chunksize=chunksize))
     sliced: list[SlicedPage] = []
     errors: list[SliceError] = []
-    for page, (spans, kind) in zip(pages, results):
-        sliced.append(SlicedPage(page.site_id, page.page_path, page.raw_bytes, spans))
+    for page, raw, (spans, kind) in zip(pages, data, results):
+        sliced.append(SlicedPage(page.site_id, page.page_path, raw, spans))
         if kind is not None:
             errors.append(SliceError(page.site_id, page.page_path, kind))
     return sliced, errors

@@ -24,9 +24,10 @@ from .slicer import SlicedPage, Span
 # Every '<' starts a tag that runs to the next '>' or, when none follows, to the end
 # of the page, as a browser drops a tag that the end of the file cuts off (WHATWG
 # eof-in-tag). Every match ends there too, so no scan re-reads the rest of the page.
-# Bytes patterns match the names ASCII case-insensitively, as the HTML standard does.
+# Bytes patterns match the names ASCII case-insensitively, as the HTML standard does,
+# and a name ends where its tag-name state ends it: at whitespace, '/' or '>'.
 _SCRIPT_STYLE_RE = re.compile(
-    rb"<(script|style)\b[^>]*(?:>.*?(?:</\1[^>]*>?|\Z))?",
+    rb"<(script|style)(?=[\t\n\f\r />]|\Z)[^>]*(?:>.*?(?:</\1(?=[\t\n\f\r />]|\Z)[^>]*>?|\Z))?",
     re.IGNORECASE | re.DOTALL,
 )
 _TAG_RE = re.compile(rb"<[^>]*>?")

@@ -22,6 +22,7 @@ from comslice import corpus as corpus_mod
 from comslice.audit import Thresholds, sample_corpus
 from comslice.cli import run
 from comslice.corpus import load_corpus, page_file
+from comslice.encoding import Pattern
 from comslice.errors import ManifestError, clip
 
 from conftest import (
@@ -764,6 +765,43 @@ def test_a_rerun_over_longer_page_outputs_leaves_only_the_new_bytes(workspace, c
         (workspace["out"] / rel).write_bytes(data + b"<p>left from a longer page</p>" * 40)
     assert run(base_args(workspace, command)) == 0
     assert _page_outputs(workspace["out"]) == new
+
+
+@pytest.fixture
+def two_sections(tmp_path):
+    """Site a, its rule <c>...</c>, and two pages of two sections each."""
+    pages = {("a", "a/p.html"): b"x<c>1</c>y<c>2</c>z", ("a", "q.html"): b"<c>q</c>r<c>s</c>"}
+    root, manifest = write_corpus(tmp_path, sites={"a": ("blog", ["a.org"])}, pages=pages)
+    rule = make_rule(site_id="a", open_pattern=Pattern("literal", "<c>"), close_pattern=Pattern("literal", "</c>"))
+    write_encoding_file({"a": rule}, tmp_path / "encoding.csv")
+    return {"root": root, "manifest": manifest, "encoding": tmp_path / "encoding.csv", "out": tmp_path / "out"}
+
+
+@pytest.mark.parametrize(
+    "options", [["slice-rough"], ["slice-precise"], ["slice-rough", "--workers", "2"]], ids=" ".join
+)
+@pytest.mark.parametrize("rewritten", [b"x<c>1</c>yz", b"x<c>1</c>y<c>2z"], ids=["one_section", "missing_closure"])
+def test_a_rerun_removes_the_sections_a_page_no_longer_has(two_sections, monkeypatch, options, rewritten):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so --workers 2 starts a pool
+    ws, out, fresh = two_sections, two_sections["out"], two_sections["out"].with_name("fresh")
+    command, *extra = options
+    assert run(base_args(ws, command) + extra) == 0
+    assert (out / "sections/a/p.html.section-1.html").read_bytes() == b"<c>2</c>"
+    (ws["root"] / "a/p.html").write_bytes(rewritten)
+    assert run(base_args(ws, command) + extra) == 0
+    stripped = (out / "stripped/a/p.html").read_bytes()
+    sections = sorted((out / "sections/a").iterdir())  # the page's sections start after its first byte
+    assert stripped[:1] + b"".join(path.read_bytes() for path in sections) + stripped[1:] == rewritten
+    assert run(base_args({**ws, "out": fresh}, command) + extra) == 0
+    assert _page_outputs(out) == _page_outputs(fresh)
+
+
+def test_a_stale_section_that_cannot_be_removed_exits_1_naming_it(two_sections, capsys):
+    blocker = two_sections["out"] / "sections/q.html.section-2.html"
+    (blocker / "inside").mkdir(parents=True)  # a directory where a third section would be
+    assert run(base_args(two_sections, "slice-rough")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{clip(str(blocker))!r}\n") and err.count("\n") == 1
 
 
 def test_page_io_moves_every_byte_when_the_system_moves_three_at_a_time(twenty_pages, monkeypatch):

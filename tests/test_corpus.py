@@ -12,10 +12,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from comslice import corpus as corpus_mod
-from comslice.corpus import Corpus, Page, Site, load_corpus, normalize_url, resolve_url
+from comslice.corpus import Corpus, Page, PageFile, Site, load_corpus, normalize_url, resolve_url
 from comslice.errors import ManifestError
+from comslice.slicer import slice_corpus
 
-from conftest import write_corpus
+from conftest import fragment, make_rule, page_bytes, write_corpus
 
 
 def test_load_corpus_round_trip(tmp_path):
@@ -78,7 +79,7 @@ def test_page_that_is_not_a_regular_file_is_fatal(tmp_path, kind):
         load_corpus(root, manifest)
 
 
-def test_a_page_reads_its_file_once_and_on_first_use(tmp_path, monkeypatch):
+def test_a_page_reads_its_file_on_each_use_and_never_at_load(tmp_path, monkeypatch):
     root, manifest = write_corpus(
         tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): b"x", ("s1", "q.html"): b"y"}
     )
@@ -87,7 +88,7 @@ def test_a_page_reads_its_file_once_and_on_first_use(tmp_path, monkeypatch):
     corpus = load_corpus(root, manifest)
     assert reads == []
     assert [corpus.pages[1].raw_bytes, corpus.pages[1].raw_bytes] == [b"z", b"z"]
-    assert reads == [f"{root}/q.html"]
+    assert reads == [f"{root}/q.html"] * 2
 
 
 def test_a_page_file_gone_after_loading_fails_when_read(tmp_path):
@@ -107,24 +108,51 @@ def test_repr_and_hash_of_a_loaded_page_do_not_read_its_file(tmp_path):
     )
     (page,) = load_corpus(root, manifest).pages
     (root / "s1/p.html").unlink()
-    assert repr(page) == "_PageFile(site_id='s1', page_path='s1/p.html')"
-    assert hash(page) == hash(Page("s1", "s1/p.html", b"x"))
-    assert "raw_bytes" not in page.__dict__
+    assert repr(page) == f"PageFile(site_id='s1', page_path='s1/p.html', root={root!r}, file='s1/p.html')"
+    assert hash(page) == hash(("s1", "s1/p.html", root, "s1/p.html"))
     with pytest.raises(ManifestError, match="page file not readable"):
         page.raw_bytes
 
 
-def test_loaded_pages_compare_by_their_bytes_and_never_equal_an_in_memory_page(tmp_path):
+def test_loaded_pages_compare_by_their_fields_without_reading_a_file(tmp_path, monkeypatch):
     loaded = []
-    for i, body in enumerate((b"x", b"y", b"x")):
+    for i, body in enumerate((b"x", b"y")):
         root, manifest = write_corpus(
             tmp_path / str(i), sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "s1/p.html"): body}
         )
         loaded.extend(load_corpus(root, manifest).pages)
-    x, y, x_again = loaded
+    x_again = load_corpus(tmp_path / "0/corpus", tmp_path / "0/manifest.csv").pages[0]
+    monkeypatch.setattr(corpus_mod, "_read_regular_file", lambda path: pytest.fail(f"read {path}"))
+    x, y = loaded
     assert (x == y, x != y, x == x_again, x != x_again) == (False, True, True, False)
     in_memory = Page("s1", "s1/p.html", b"x")
     assert (x == in_memory, in_memory == x, x != in_memory, in_memory != x) == (False, False, True, True)
+
+
+def test_a_loaded_page_is_a_tuple_of_its_fields(tmp_path):
+    root, manifest = write_corpus(
+        tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages={("s1", "./s1//p.html"): b"x"}
+    )
+    (page,) = load_corpus(root, manifest).pages
+    site, path, page_root, file = page
+    assert (site, path, page_root, file) == ("s1", "./s1//p.html", root, "s1/p.html")
+    assert page._asdict() == {"site_id": "s1", "page_path": "./s1//p.html", "root": root, "file": "s1/p.html"}
+    assert PageFile._make(tuple(page)) == page
+    assert PageFile._make(tuple(page)).raw_bytes == b"x"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_slicing_reads_each_page_once(tmp_path, monkeypatch, workers):
+    pages = {("s1", f"p{i}.html"): page_bytes(fragments=[fragment(text=f"c{i}")]) for i in range(6)}
+    root, manifest = write_corpus(tmp_path, sites={"s1": ("blog", ["s1.org"])}, pages=pages)
+    corpus = load_corpus(root, manifest)
+    reads = []
+    read = corpus_mod._read_regular_file
+    monkeypatch.setattr(corpus_mod, "_read_regular_file", lambda path: reads.append(path) or read(path))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sliced, errors = slice_corpus(corpus.pages, {"s1": make_rule()}, workers=workers)
+    assert sorted(reads) == sorted(f"{root}/{path}" for _, path in pages)
+    assert [page.raw_bytes for page in sliced] == list(pages.values()) and errors == []
 
 
 def test_page_path_is_read_where_pathlib_finds_it(tmp_path):

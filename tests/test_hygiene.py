@@ -49,16 +49,21 @@ def read_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def private_definitions(tree: ast.Module) -> set[str]:
-    """Module-level functions, classes and assignments whose name starts with one underscore."""
+def definitions(body: list[ast.stmt]) -> set[str]:
+    """The names that the functions, classes and assignments of a module or class body define."""
     names = set()
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and assignments whose name starts with one underscore."""
+    return {name for name in definitions(tree.body) if name.startswith("_") and not name.startswith("__")}
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -83,3 +88,16 @@ def test_no_private_name_is_left_unreferenced():
         (module, name) for module, tree in trees.items() for name in private_definitions(tree) - referenced
     }
     assert unreferenced == set()
+
+
+# what a NamedTuple record would override to hold something other than its fields
+TUPLE_OVERRIDES = {"__new__", "__eq__", "__ne__", "__hash__", "__setattr__", "__getnewargs__"}
+
+
+def test_no_record_overrides_what_makes_it_a_tuple_of_its_fields():
+    classes = [node for tree in modules().values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    records = {"NamedTuple"}
+    while grown := {c.name for c in classes if c.name not in records and records & read_names(ast.List(c.bases))}:
+        records |= grown  # a subclass of a record is a record, in any module
+    overrides = {(c.name, name) for c in classes if c.name in records for name in definitions(c.body) & TUPLE_OVERRIDES}
+    assert overrides == set()

@@ -88,7 +88,7 @@ def test_a_loaded_page_survives_pickling(loaded_page, read_first):
     copy = pickle.loads(pickle.dumps(loaded_page))
     assert type(copy) is type(loaded_page)
     assert (repr(copy), hash(copy)) == (repr(loaded_page), hash(loaded_page))
-    assert copy == loaded_page  # compares the bytes, reading both files
+    assert copy == loaded_page  # compares the fields, reading no file
     assert copy.raw_bytes == b"x"
 
 

@@ -105,7 +105,8 @@ def test_pure_numbers_tokenize_to_nothing():
 
 # the tokenizer's regexes before they were made linear: the references for its output
 _REF_SCRIPT_STYLE_RE = re.compile(
-    r"<(script|style)\b[^>]*(?:>.*?(?:</\1[^>]*>|\Z)|\Z)", re.IGNORECASE | re.DOTALL | re.ASCII
+    r"<(script|style)(?=[\t\n\f\r />]|\Z)[^>]*(?:>.*?(?:</\1(?=[\t\n\f\r />]|\Z)[^>]*>|\Z)|\Z)",
+    re.IGNORECASE | re.DOTALL | re.ASCII,
 )
 _REF_TAG_RE = re.compile(r"<[^>]*>?")
 _REF_WORD_RE = re.compile(r"[^\W\d_]+")
@@ -211,10 +212,21 @@ def test_a_misspelled_script_or_style_name_is_an_ordinary_tag(name):
     assert token_parts(f"<{name}>x</SCRIPT><p>mot juste</p>".encode()) == (["mot", "juste"], [])
 
 
-def test_a_script_name_ends_at_an_ascii_word_boundary():
-    # Ā is no ASCII word character, so <scriptĀ> opens a block that </script> closes
-    raw = "<scriptĀ>var secret</script><p>mot juste</p>".encode()
-    assert token_parts(raw) == (["mot", "juste"], [])
+@pytest.mark.parametrize(
+    ("page", "shown"),
+    [
+        # a name runs on to whitespace, '/' or '>', so these are ordinary tags, not blocks
+        ("<scriptĀ>var secret</script><p>mot juste</p>", ["var", "secret", "mot", "juste"]),
+        ("<p>avant</p><script-x>mot juste</p><p>fin</p>", ["avant", "mot", "juste", "fin"]),
+        # </scripts> does not end a script block; the </script> after it does
+        ("<script>x</scripts><p>mot juste</p></script><p>fin</p>", ["fin"]),
+        ("<script\tsrc=a>var</script\n><style/>b{}</STYLE/><p>fin</p>", ["fin"]),
+        ("<p>fin</p><script", ["fin"]),
+    ],
+    ids=["non_ascii_letter", "hyphen", "longer_end_tag", "whitespace_and_slash", "end_of_page"],
+)
+def test_a_script_name_ends_where_the_tag_name_ends(page, shown):
+    assert token_parts(page.encode()) == (shown, [])
 
 
 def _spaces(match: re.Match[str]) -> str:
@@ -258,7 +270,7 @@ def test_tokenize_is_linear_on_markup_that_never_closes(raw, tokens):
 # callback and decoded data[:offset] once per section bound. The reference for
 # tokenize's (main, comment) lists.
 _OLD_SCRIPT_STYLE_RE = re.compile(
-    r"<(script|style)\b[^>]*(>.*?(?:</\1[^>]*>?|\Z))?",
+    r"<(script|style)(?=[\t\n\f\r />]|\Z)[^>]*(>.*?(?:</\1(?=[\t\n\f\r />]|\Z)[^>]*>?|\Z))?",
     re.IGNORECASE | re.DOTALL | re.ASCII,
 )
 _OLD_TAG_RE = re.compile(r"<[^>]*>?")
