@@ -19,20 +19,11 @@ import sys
 from functools import partial
 from itertools import count
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .corpus import Corpus, load_corpus, page_file
 from .encoding import Rule, parse_encoding_file
 from .errors import ComsliceError, clip
-from .linkgraph import (
-    Link,
-    components,
-    crosstab,
-    extract_all_links,
-    iter_hrefs,
-    mutual_link_graph,
-    write_gexf,
-)
 from .slicer import (
     SlicedPage,
     build_error_report,
@@ -40,7 +31,31 @@ from .slicer import (
     # the old name stays: perfbench/tracer.py patches comslice.cli.slice_corpus_parallel
     slice_corpus as slice_corpus_parallel,
 )
-from .textstats import corpus_token_counts, load_stopwords, top_k
+
+if TYPE_CHECKING:
+    from .linkgraph import Link
+
+# each name the handlers call from a module that only some subcommands use -> that module.
+# run binds the names of the modules a subcommand declares before its handler runs;
+# __getattr__ binds one on first use from outside, as when perfbench's tracer patches it
+_HOMES = {
+    name: module
+    for module, names in {
+        "linkgraph": ("components", "crosstab", "extract_all_links", "iter_hrefs", "mutual_link_graph", "write_gexf"),
+        "textstats": ("corpus_token_counts", "load_stopwords", "top_k"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Import a lazy name's module on first use (PEP 562); later uses find the name bound here."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, is logged by python -X importtime
+    home = __import__(f"{__package__}.{_HOMES[name]}", fromlist=[name])
+    value = globals()[name] = getattr(home, name)
+    return value
 
 
 def _bounded(kind: Callable[[str], float], low: float, high: float = math.inf):
@@ -115,29 +130,30 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for slicing (default: 1)",
     )
-    # each subcommand declares the handler that run calls, the files it writes
-    # directly under --out, and whether it also writes every page under stripped/
-    # and its sections under sections/; the overwrite guard reads the last two
+    # each subcommand declares the handler that run calls, the modules in _HOMES whose
+    # names it calls, the files it writes directly under --out, and whether it also
+    # writes every page under stripped/ and its sections under sections/; the
+    # overwrite guard reads the last two
     sub = parser.add_subparsers(dest="command", required=True)
     add_subcommand = partial(sub.add_parser, parents=[common])
     error_files = ("error_report.csv", "error_summary.csv")
 
     p = add_subcommand("slice-rough", help="split pages into stripped content and comment sections")
-    p.set_defaults(handler=_cmd_slice_rough, outputs=error_files, page_trees=True)
+    p.set_defaults(handler=_cmd_slice_rough, modules=(), outputs=error_files, page_trees=True)
 
     p = add_subcommand("slice-precise", help="slice-rough plus per-comment field extraction")
     p.set_defaults(
-        handler=_cmd_slice_precise, outputs=("comments.jsonl", *error_files), page_trees=True
+        handler=_cmd_slice_precise, modules=(), outputs=("comments.jsonl", *error_files), page_trees=True
     )
 
     p = add_subcommand("links", help="extract every hyperlink with its location")
-    p.set_defaults(handler=_cmd_links, outputs=("edges.csv",), page_trees=False)
+    p.set_defaults(handler=_cmd_links, modules=("linkgraph",), outputs=("edges.csv",), page_trees=False)
 
     p = add_subcommand("crosstab", help="count links between site labels, inside vs outside comments")
-    p.set_defaults(handler=_cmd_crosstab, outputs=("crosstab.csv",), page_trees=False)
+    p.set_defaults(handler=_cmd_crosstab, modules=("linkgraph",), outputs=("crosstab.csv",), page_trees=False)
 
     p = add_subcommand("graph", help="build the mutual-link site graph as GEXF")
-    p.set_defaults(handler=_cmd_graph, outputs=("graph.gexf",), page_trees=False)
+    p.set_defaults(handler=_cmd_graph, modules=("linkgraph",), outputs=("graph.gexf",), page_trees=False)
     p.add_argument(
         "--include-comments",
         action="store_true",
@@ -147,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_subcommand("tokens", help="top token counts with and without comment sections")
     p.set_defaults(
         handler=_cmd_tokens,
+        modules=("textstats",),
         outputs=("tokens_with_comments.csv", "tokens_without_comments.csv"),
         page_trees=False,
     )
@@ -157,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_subcommand("audit", help="sample the corpus and decide whether slicing is needed")
     p.set_defaults(
-        handler=_cmd_audit, outputs=("audit.txt", "audit.csv", "audit_sites.csv"), page_trees=False
+        handler=_cmd_audit,
+        modules=("textstats",),  # comslice.audit imports linkgraph too
+        outputs=("audit.txt", "audit.csv", "audit_sites.csv"),
+        page_trees=False,
     )
     p.add_argument(
         "--sample-n", type=_positive_int, default=100, help="pages to sample (default: 100)"
@@ -439,6 +459,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for name, module in _HOMES.items():
+        if module in args.modules and name not in globals():  # a name patched here stays patched
+            __getattr__(name)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

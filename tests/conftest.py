@@ -271,7 +271,11 @@ def modules_imported_by(statement: str) -> set[str]:
         f"import sys; before = set(sys.modules); {statement}; "
         "print(*sorted(set(sys.modules) - before), file=sys.__stdout__)"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     return set(done.stdout.split())
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports comslice from this tree's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -6,9 +6,12 @@ import argparse
 import concurrent.futures
 import csv
 import errno
+import importlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path, PurePosixPath
 
@@ -35,6 +38,7 @@ from conftest import (
     make_rule,
     modules_imported_by,
     page_bytes,
+    src_env,
     write_corpus,
     write_encoding_file,
 )
@@ -612,7 +616,7 @@ _EXTRA_OPTIONS = {
     },
 }
 # what a subcommand declares for run and for the overwrite guard, not options
-_DECLARATION = ("handler", "outputs", "page_trees")
+_DECLARATION = ("handler", "modules", "outputs", "page_trees")
 
 
 @pytest.mark.parametrize("command", _subcommands())
@@ -867,9 +871,72 @@ def test_a_page_no_longer_a_regular_file_when_read_exits_1_with_no_descriptor_op
 
 
 def test_importing_the_cli_loads_no_module_that_only_some_subcommands_use():
-    # json: slice-precise; the XML writer: graph; comslice.audit: audit; concurrent.futures: --workers 2 and up
-    only_some = {"json", "xml.etree.ElementTree", "comslice.audit", "concurrent.futures"}
+    # json: slice-precise; the XML writer: graph; comslice.audit: audit; concurrent.futures: --workers 2 and up;
+    # comslice.linkgraph: links, crosstab, graph and audit; comslice.textstats: tokens and audit
+    only_some = {
+        "json",
+        "xml.etree.ElementTree",
+        "comslice.audit",
+        "concurrent.futures",
+        "comslice.linkgraph",
+        "comslice.textstats",
+    }
     assert modules_imported_by("import comslice.cli") & only_some == set()
+
+
+ANALYSIS_MODULES = {
+    "slice-rough": set(),
+    "slice-precise": set(),
+    "links": {"comslice.linkgraph"},
+    "crosstab": {"comslice.linkgraph"},
+    "graph": {"comslice.linkgraph"},
+    "tokens": {"comslice.textstats"},
+    "audit": {"comslice.linkgraph", "comslice.textstats"},  # comslice.audit imports both
+}
+
+
+@pytest.mark.parametrize("command", ANALYSIS_MODULES)
+def test_run_as_a_module_each_subcommand_loads_only_the_analysis_modules_it_uses(workspace, command):
+    # python -m runs cli.py as __main__, not as comslice.cli; -X importtime logs each module imported
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "comslice.cli", *base_args(workspace, command)],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "comslice.slicer" in imported  # every subcommand slices
+    assert imported & {"comslice.linkgraph", "comslice.textstats"} == ANALYSIS_MODULES[command]
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for name, module in cli._HOMES.items()])
+def test_each_lazy_name_is_its_home_modules_object(monkeypatch, module, name):
+    home = getattr(importlib.import_module(f"comslice.{module}"), name)
+    monkeypatch.delattr(cli, name)  # so the lookup below goes through cli's __getattr__
+    assert getattr(cli, name) is home
+    assert cli.__dict__[name] is home  # bound: the next lookup finds it
+
+
+@pytest.mark.parametrize("command, name", [("crosstab", "crosstab"), ("tokens", "top_k")])
+def test_a_lazy_name_patched_on_the_cli_stays_patched_when_its_subcommand_runs(workspace, monkeypatch, command, name):
+    # perfbench's tracer wraps these names on the module before calling run
+    original, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert run(base_args(workspace, command)) == 0
+    assert calls  # top_k runs once per table
+
+
+@pytest.mark.parametrize("name", ["nope", "resolve_url", "tokenize"])
+def test_an_unknown_cli_name_raises_attribute_error(name):
+    # resolve_url and tokenize are in linkgraph and textstats, but no handler calls them
+    with pytest.raises(AttributeError, match=f"'comslice.cli' has no attribute '{name}'"):
+        getattr(cli, name)
 
 
 def test_no_subcommand_loads_dataclasses_or_inspect(workspace):
