@@ -5,8 +5,6 @@ The public names load lazily (PEP 562): ``import comslice`` imports none
 of the submodules, and the first use of a name imports only its module.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -50,21 +48,35 @@ _HOMES = {
         "encoding": ("Pattern", "Rule", "parse_encoding_file"),
         "errors": ("ComsliceError", "EncodingFileError", "ManifestError"),
         "linkgraph": ("CrosstabRow", "Link", "MutualGraph", "crosstab", "extract_all_links", "mutual_link_graph"),
-        "slicer": ("Comment", "SliceError", "SlicedPage", "precise_slice", "rough_slice", "slice_corpus"),
+        "slicer": (
+            "Comment", "SliceError", "SlicedPage", "Thresholds", "precise_slice", "rough_slice", "slice_corpus"
+        ),
         "textstats": ("corpus_token_counts", "top_k"),
-        "audit": ("AuditResult", "NoiseMeasurement", "SiteDiagnostics", "Thresholds", "run_audit"),
+        "audit": ("AuditResult", "NoiseMeasurement", "SiteDiagnostics", "run_audit"),
     }.items()
     for name in names
 }
 
 
-def __getattr__(name: str):
-    """Import a public name's module on first use; later uses find the name bound here."""
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy(namespace: dict, homes: dict[str, str]):
+    """A module __getattr__ (PEP 562) for the module whose globals are namespace.
+
+    On a name's first use it imports the name's submodule, homes[name], and
+    binds the name in namespace, where later uses find it.
+    """
+
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        # __import__, unlike importlib.import_module, is logged by python -X importtime
+        home = __import__(f"{__name__}.{homes[name]}", fromlist=[name])
+        value = namespace[name] = getattr(home, name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _HOMES)
 
 
 def __dir__() -> list[str]:

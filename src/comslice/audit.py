@@ -18,20 +18,9 @@ from .corpus import Corpus, Page, PageFile, SiteIndex
 from .encoding import Rule
 from .errors import ComsliceError
 from .linkgraph import countable, extract_all_links
-from .slicer import SlicedPage, SliceError, precise_slice, rules_for, slice_corpus
+from .slicer import SlicedPage, SliceError, Thresholds, precise_slice, rules_for, slice_corpus
 # tokenize is unused here; perfbench's tracer patches comslice.audit.tokenize
 from .textstats import corpus_token_counts, jsd, tokenize
-
-
-class Thresholds(NamedTuple):
-    """Per-metric cutoffs, each named after the NoiseMeasurement field it bounds.
-
-    A metric must strictly exceed its cutoff to matter.
-    """
-
-    link_noise: float = 0.05
-    token_noise: float = 0.05
-    text_divergence: float = 0.05
 
 
 class NoiseMeasurement(NamedTuple):

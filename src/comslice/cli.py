@@ -21,11 +21,13 @@ from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from . import _lazy
 from .corpus import Corpus, load_corpus, page_file
 from .encoding import Rule, parse_encoding_file
 from .errors import ComsliceError, clip
 from .slicer import (
     SlicedPage,
+    Thresholds,
     build_error_report,
     precise_slice,
     # the old name stays: perfbench/tracer.py patches comslice.cli.slice_corpus_parallel
@@ -46,16 +48,7 @@ _HOMES = {
     }.items()
     for name in names
 }
-
-
-def __getattr__(name: str):
-    """Import a lazy name's module on first use (PEP 562); later uses find the name bound here."""
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, unlike importlib.import_module, is logged by python -X importtime
-    home = __import__(f"{__package__}.{_HOMES[name]}", fromlist=[name])
-    value = globals()[name] = getattr(home, name)
-    return value
+__getattr__ = _lazy(globals(), _HOMES)
 
 
 def _bounded(kind: Callable[[str], float], low: float, high: float = math.inf):
@@ -81,38 +74,6 @@ _positive_int = _bounded(int, 1)
 _fraction = _bounded(float, 0, 1)
 
 
-class _ThresholdOption(argparse.Action):
-    """Store one --threshold-* value.
-
-    Its default, and the help that shows it, are the default of the
-    audit.Thresholds field named by dest, read only when audit parses or
-    prints its help: building the parser does not import comslice.audit.
-    What argparse assigns to either is dropped, so Thresholds stays their
-    only source.
-    """
-
-    @property
-    def default(self) -> float:
-        from .audit import Thresholds
-
-        return Thresholds._field_defaults[self.dest]  # getattr(Thresholds, dest) is the field's accessor
-
-    @default.setter
-    def default(self, value) -> None:
-        pass
-
-    @property
-    def help(self) -> str:
-        return f"slice when {self.dest} exceeds this (default: {self.default})"
-
-    @help.setter
-    def help(self, value) -> None:
-        pass
-
-    def __call__(self, parser, namespace, values, option_string=None) -> None:
-        setattr(namespace, self.dest, values)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="comslice",
@@ -130,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for slicing (default: 1)",
     )
+    text = argparse.ArgumentParser(add_help=False)  # the options of the subcommands that count tokens
+    text.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
     # each subcommand declares the handler that run calls, the modules in _HOMES whose
     # names it calls, the files it writes directly under --out, and whether it also
     # writes every page under stripped/ and its sections under sections/; the
@@ -160,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep links located in comment sections (dropped by default)",
     )
 
-    p = add_subcommand("tokens", help="top token counts with and without comment sections")
+    p = add_subcommand(
+        "tokens", parents=[common, text], help="top token counts with and without comment sections"
+    )
     p.set_defaults(
         handler=_cmd_tokens,
         modules=("textstats",),
@@ -170,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--top-k", type=_positive_int, default=100, help="rows per table (default: 100)"
     )
-    p.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
 
-    p = add_subcommand("audit", help="sample the corpus and decide whether slicing is needed")
+    p = add_subcommand(
+        "audit", parents=[common, text], help="sample the corpus and decide whether slicing is needed"
+    )
     p.set_defaults(
         handler=_cmd_audit,
         modules=("textstats",),  # comslice.audit imports linkgraph too
@@ -184,8 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
     for option, metric in (("link", "link_noise"), ("token", "token_noise"), ("divergence", "text_divergence")):
-        p.add_argument(f"--threshold-{option}", dest=metric, type=_fraction, action=_ThresholdOption)
-    p.add_argument("--stopwords", help="stopword list path (default: bundled French list)")
+        p.add_argument(
+            f"--threshold-{option}",
+            dest=metric,
+            type=_fraction,
+            default=Thresholds._field_defaults[metric],  # getattr(Thresholds, metric) is the field's accessor
+            help=f"slice when {metric} exceeds this (default: %(default)s)",
+        )
 
     return parser
 
@@ -426,13 +397,13 @@ def _cmd_audit(args: argparse.Namespace, out: Path) -> int:
 
     stopwords = load_stopwords(args.stopwords)
     corpus, rules = _load(args)
-    metrics = audit_mod.Thresholds._fields
+    metrics = Thresholds._fields
     result = audit_mod.run_audit(
         corpus,
         rules,
         sample_n=args.sample_n,
         seed=args.seed,
-        thresholds=audit_mod.Thresholds(**{name: getattr(args, name) for name in metrics}),
+        thresholds=Thresholds(**{name: getattr(args, name) for name in metrics}),
         stopwords=stopwords,
         workers=args.workers,
     )

@@ -107,6 +107,17 @@ class Comment(NamedTuple):
     text: str | None
 
 
+class Thresholds(NamedTuple):
+    """When to slice: per-metric cutoffs, each named after the audit.NoiseMeasurement field it bounds.
+
+    A metric must strictly exceed its cutoff to matter.
+    """
+
+    link_noise: float = 0.05
+    token_noise: float = 0.05
+    text_divergence: float = 0.05
+
+
 def rough_slice(data: bytes, rule: Rule) -> tuple[tuple[Span, ...], str | None]:
     """Find the comment sections of one page's bytes, as (spans, error kind).
 

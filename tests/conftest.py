@@ -1,6 +1,7 @@
 """Shared fixture builders: tiny corpora on disk, slicing rules in memory and on
 disk (write_encoding_file), the partition oracle (assert_partition), the
-descriptor-leak guard (no_fd_leak), and the import probe (modules_imported_by)."""
+descriptor-leak guard (no_fd_leak), and the import probes (modules_imported_by,
+modules_logged_by)."""
 
 from __future__ import annotations
 
@@ -273,6 +274,17 @@ def modules_imported_by(statement: str) -> set[str]:
     )
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     return set(done.stdout.split())
+
+
+def modules_logged_by(*args: str) -> set[str]:
+    """The modules that python -X importtime logs in a child interpreter run with args.
+
+    The log lists a module that __import__ or an import statement loads, but not one
+    that importlib.import_module loads.
+    """
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], env=src_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
 
 
 def src_env() -> dict[str, str]:

@@ -10,8 +10,6 @@ import importlib
 import json
 import os
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path, PurePosixPath
 
@@ -37,8 +35,8 @@ from conftest import (
     make_precise_rule,
     make_rule,
     modules_imported_by,
+    modules_logged_by,
     page_bytes,
-    src_env,
     write_corpus,
     write_encoding_file,
 )
@@ -891,23 +889,16 @@ ANALYSIS_MODULES = {
     "crosstab": {"comslice.linkgraph"},
     "graph": {"comslice.linkgraph"},
     "tokens": {"comslice.textstats"},
-    "audit": {"comslice.linkgraph", "comslice.textstats"},  # comslice.audit imports both
+    "audit": {"comslice.audit", "comslice.linkgraph", "comslice.textstats"},  # comslice.audit imports both
 }
 
 
 @pytest.mark.parametrize("command", ANALYSIS_MODULES)
 def test_run_as_a_module_each_subcommand_loads_only_the_analysis_modules_it_uses(workspace, command):
-    # python -m runs cli.py as __main__, not as comslice.cli; -X importtime logs each module imported
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "comslice.cli", *base_args(workspace, command)],
-        env=src_env(),
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    # python -m runs cli.py as __main__, not as comslice.cli
+    imported = modules_logged_by("-m", "comslice.cli", *base_args(workspace, command))
     assert "comslice.slicer" in imported  # every subcommand slices
-    assert imported & {"comslice.linkgraph", "comslice.textstats"} == ANALYSIS_MODULES[command]
+    assert imported & {"comslice.audit", "comslice.linkgraph", "comslice.textstats"} == ANALYSIS_MODULES[command]
 
 
 @pytest.mark.parametrize("module, name", [(module, name) for name, module in cli._HOMES.items()])

@@ -8,7 +8,7 @@ import pytest
 
 import comslice
 
-from conftest import modules_imported_by
+from conftest import modules_imported_by, modules_logged_by
 
 # each public name's home module, written out here so the test does not read the package's own map
 HOMES = {
@@ -16,9 +16,9 @@ HOMES = {
     "encoding": ["Pattern", "Rule", "parse_encoding_file"],
     "errors": ["ComsliceError", "EncodingFileError", "ManifestError"],
     "linkgraph": ["CrosstabRow", "Link", "MutualGraph", "crosstab", "extract_all_links", "mutual_link_graph"],
-    "slicer": ["Comment", "SliceError", "SlicedPage", "precise_slice", "rough_slice", "slice_corpus"],
+    "slicer": ["Comment", "SliceError", "SlicedPage", "Thresholds", "precise_slice", "rough_slice", "slice_corpus"],
     "textstats": ["corpus_token_counts", "top_k"],
-    "audit": ["AuditResult", "NoiseMeasurement", "SiteDiagnostics", "Thresholds", "run_audit"],
+    "audit": ["AuditResult", "NoiseMeasurement", "SiteDiagnostics", "run_audit"],
 }
 
 
@@ -40,6 +40,17 @@ def test_each_public_name_is_its_home_modules_object(module, name):
     namespace: dict = {}
     exec(f"from comslice import {name}", namespace)
     assert namespace[name] is home
+
+
+def test_thresholds_still_imports_from_the_audit_module():
+    # Thresholds is defined in comslice.slicer; code that imports it from comslice.audit gets the same class
+    from comslice import audit, slicer
+
+    assert audit.Thresholds is slicer.Thresholds
+
+
+def test_importtime_logs_the_module_a_public_name_loads():
+    assert "comslice.linkgraph" in modules_logged_by("-c", "import comslice; comslice.extract_all_links")
 
 
 def test_star_import_binds_exactly_the_public_names():
