@@ -10,6 +10,8 @@ import importlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path, PurePosixPath
 
@@ -37,6 +39,7 @@ from conftest import (
     modules_imported_by,
     modules_logged_by,
     page_bytes,
+    src_env,
     write_corpus,
     write_encoding_file,
 )
@@ -899,6 +902,55 @@ def test_run_as_a_module_each_subcommand_loads_only_the_analysis_modules_it_uses
     imported = modules_logged_by("-m", "comslice.cli", *base_args(workspace, command))
     assert "comslice.slicer" in imported  # every subcommand slices
     assert imported & {"comslice.audit", "comslice.linkgraph", "comslice.textstats"} == ANALYSIS_MODULES[command]
+
+
+# runs cli.py as __main__, as python -m comslice.cli does, with an atexit hook registered
+# first that writes the collector's freeze count to the file named by the first argument
+EXIT_WRAPPER = """\
+import atexit, gc, runpy, sys
+
+record = sys.argv.pop(1)
+
+
+def hook():
+    with open(record, "w", encoding="utf-8") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+
+atexit.register(hook)
+runpy.run_module("comslice.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("case, status", [("links", 0), ("missing manifest", 1), ("unknown option", 2)])
+def test_main_exits_as_run_returns_after_freezing_the_collector(workspace, capsys, monkeypatch, tmp_path, case, status):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal; the child has none
+    argv = base_args(workspace, "links")
+    if case == "missing manifest":
+        argv[argv.index("--manifest") + 1] = str(workspace["root"] / "absent.csv")
+    elif case == "unknown option":
+        argv.append("--no-such-option")
+    assert run(argv) == status
+    expected = capsys.readouterr()
+    record = tmp_path / "freeze_count"
+    done = subprocess.run(
+        [sys.executable, "-c", EXIT_WRAPPER, str(record), *argv], env=src_env(), capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (status, expected.out, expected.err)
+    assert int(record.read_text(encoding="utf-8")) > 0  # the hook ran, and main had frozen the collector
+
+
+def test_a_profiler_run_of_the_cli_still_prints_its_table(workspace):
+    # cProfile prints after main raises SystemExit; a hard exit (os._exit) would skip the table
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "comslice.cli", *base_args(workspace, "links")],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "found 5 anchors" in done.stdout
+    assert "ncalls" in done.stdout
 
 
 @pytest.mark.parametrize("module, name", [(module, name) for name, module in cli._HOMES.items()])

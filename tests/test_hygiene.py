@@ -1,5 +1,6 @@
 """Source hygiene, checked with the stdlib ast: no module in src/comslice imports a
-name it never uses, and no module-level private name goes unreferenced there."""
+name it never uses, no module-level private name goes unreferenced there, no record
+overrides its tuple behaviour, and no module ends the process with os._exit."""
 
 from __future__ import annotations
 
@@ -101,3 +102,10 @@ def test_no_record_overrides_what_makes_it_a_tuple_of_its_fields():
         records |= grown  # a subclass of a record is a record, in any module
     overrides = {(c.name, name) for c in classes if c.name in records for name in definitions(c.body) & TUPLE_OVERRIDES}
     assert overrides == set()
+
+
+def test_no_module_ends_the_process_with_os_exit():
+    # os._exit skips atexit hooks, a profiler's report and buffered output; cli.main
+    # freezes the collector and leaves through sys.exit instead
+    callers = {module for module, tree in modules().items() if "_exit" in read_names(tree) | imported_names(tree)}
+    assert callers == set()
